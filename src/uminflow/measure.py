@@ -2,10 +2,22 @@
 
 Every cylinder named by a k-element finite order has measure 1/k!, and events
 built from finitely many cylinders are local to their support.  Two
-independent computation paths are provided: direct enumeration of all orders
-on the support (``mu_exact``, the oracle) and the weight-reduction recursion
-over signed cylinder conjunctions (``mu_weight_recursive``), which agrees
-with the oracle and rounds to a requested dyadic precision only at the end.
+independent computation paths are provided:
+
+- ``mu_exact``, the oracle, enumerates every order on the support.  The
+  event is compiled once into a predicate on rank tuples (see
+  ``orders.compile_event``) and counted over the permutations of
+  ``range(|support|)``.
+- ``mu_weight_recursive`` rewrites the event as a union of signed cylinder
+  conjunctions, keeps only the minimal ones, measures the union by
+  inclusion-exclusion and each conjunction by peeling negated factors.  It
+  agrees with the oracle and rounds to a requested dyadic precision only at
+  the end.  The union cap is checked while the minimal conjunctions are
+  collected, so an event past it is refused after at most union_cap + 1
+  subset tests per conjunction and before any inclusion-exclusion.
+
+Positive conjunctions and posets are measured by counting linear extensions
+with a dynamic program over the downsets reachable from the empty set.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from .orders import (
     FiniteOrder,
     Not,
     Or,
-    evaluate,
+    compile_event,
     support,
 )
 
@@ -122,19 +134,17 @@ def mu_exact(e: EventExpr, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> Fractio
     """Oracle measure: satisfying orders on the support divided by |support|!.
 
     Valid because events in the cylinder algebra are determined by the
-    restriction of an order to their support.
+    restriction of an order to their support.  The support is relabelled onto
+    range(s) and every permutation of it is tested as a rank tuple.
     """
     sup = sorted(support(e))
-    if len(sup) > support_cap:
+    s = len(sup)
+    if s > support_cap:
         raise CapExceededError(
-            f"support size {len(sup)} exceeds enumeration cap {support_cap}"
+            f"support size {s} exceeds enumeration cap {support_cap}"
         )
-    count = 0
-    for perm in permutations(sup):
-        rank = {elt: pos for pos, elt in enumerate(perm)}
-        if evaluate(e, rank):
-            count += 1
-    return Fraction(count, factorial(len(sup)))
+    pred = compile_event(e, {x: i for i, x in enumerate(sup)})
+    return Fraction(sum(map(pred, permutations(range(s)))), factorial(s))
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +154,8 @@ _Literal = tuple[FiniteOrder, bool]  # (atom order, True = cylinder, False = com
 _Conjunction = frozenset[_Literal]
 
 
-def _signed_union(e: EventExpr) -> list[_Conjunction]:
-    """Rewrite an expression as a union of conjunctions of signed atoms."""
-    terms = _dnf(e, positive=True)
-    return _absorb(terms)
-
-
 def _dnf(e: EventExpr, positive: bool) -> list[_Conjunction]:
+    """Rewrite an expression as a union of conjunctions of signed atoms."""
     if isinstance(e, Atom):
         return [frozenset([(e.order, positive)])]
     if isinstance(e, Not):
@@ -188,13 +193,26 @@ def _dedupe(terms: list[_Conjunction]) -> list[_Conjunction]:
     return out
 
 
-def _absorb(terms: list[_Conjunction]) -> list[_Conjunction]:
-    """Drop any conjunction contained in (hence denoting a subset of) another."""
-    out = []
-    for t in terms:
-        if not any(other < t for other in terms):
-            out.append(t)
-    return _dedupe(out)
+def _absorb(terms: list[_Conjunction], union_cap: int) -> list[_Conjunction]:
+    """The distinct minimal conjunctions: drop any term that contains another
+    (it denotes a subset of it) or repeats one.
+
+    Terms are visited by increasing size, so every proper subset of a term is
+    seen before it and a term kept is never absorbed later.  The union cap is
+    therefore checked as terms are kept: CapExceededError as soon as
+    union_cap + 1 are, after O(len(terms) * union_cap) subset tests.
+    """
+    kept: list[_Conjunction] = []
+    for t in sorted(terms, key=len):
+        if any(k <= t for k in kept):
+            continue
+        kept.append(t)
+        if len(kept) > union_cap:
+            raise CapExceededError(
+                f"union cap {union_cap} exceeded: {len(kept)} minimal conjunctions"
+                f" kept from a DNF of {len(terms)} conjunctions"
+            )
+    return kept
 
 
 def _literal_key(lit: _Literal):
@@ -222,8 +240,9 @@ def _mu_positive(term: _Conjunction) -> Fraction:
     elements: set[int] = set()
     pairs: set[tuple[int, int]] = set()
     for order, _sign in term:
-        elements |= order.element_set
-        pairs |= set(order.pairs())
+        es = order.elements
+        elements.update(es)
+        pairs.update(zip(es, es[1:]))  # consecutive pairs imply the rest
     if not elements:
         return Fraction(1)
     index = {e: i for i, e in enumerate(sorted(elements))}
@@ -236,28 +255,33 @@ def _mu_positive(term: _Conjunction) -> Fraction:
 
 
 def _count_extensions(n: int, pred: list[int]) -> int:
-    """Downset dynamic program; cyclic inputs yield 0 since nothing is placeable."""
-    dp = [0] * (1 << n)
-    dp[0] = 1
-    for mask in range(1, 1 << n):
-        total = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            x = low.bit_length() - 1
-            if pred[x] & mask == pred[x] & ~low:
-                total += dp[mask ^ low]
-            rest ^= low
-        dp[mask] = total
-    return dp[(1 << n) - 1]
+    """Linear extensions of {0,...,n-1} where pred[x] is the bitmask of the
+    elements that must precede x.
+
+    A dynamic program over downsets, run layer by layer from the empty set:
+    layer i maps each downset of size i reachable by placing elements whose
+    predecessors are all placed to the number of ways to reach it.  Only
+    reachable downsets are ever stored, so constrained inputs stay small and
+    a cyclic one (nothing on the cycle is ever placeable) ends in 0.
+    """
+    full = (1 << n) - 1
+    layer = {0: 1}
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        for mask, ways in layer.items():
+            rest = full & ~mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if pred[low.bit_length() - 1] & ~mask == 0:
+                    up = mask | low
+                    nxt[up] = nxt.get(up, 0) + ways
+        layer = nxt
+    return layer.get(full, 0)
 
 
-def _mu_union(terms: list[_Conjunction], memo: dict, union_cap: int) -> Fraction:
+def _mu_union(terms: list[_Conjunction], memo: dict) -> Fraction:
     """Inclusion-exclusion over a union of signed conjunctions."""
-    if len(terms) > union_cap:
-        raise CapExceededError(
-            f"union of {len(terms)} conjunctions exceeds cap {union_cap}"
-        )
     if not terms:
         return Fraction(0)
     total = Fraction(0)
@@ -278,9 +302,7 @@ def _mu_union(terms: list[_Conjunction], memo: dict, union_cap: int) -> Fraction
 
 def mu_weight_exact(e: EventExpr, *, union_cap: int = DEFAULT_UNION_CAP) -> Fraction:
     """The weight-recursion path kept exact (no rounding)."""
-    terms = _signed_union(e)
-    memo: dict = {}
-    return _mu_union(terms, memo, union_cap)
+    return _mu_union(_absorb(_dnf(e, positive=True), union_cap), {})
 
 
 def mu_weight_recursive(
@@ -296,6 +318,8 @@ def mu_weight_recursive(
     peeling negated factors one at a time.  Weight-0 terms are evaluated
     exactly, so the only error is the final rounding.
     """
+    if k < 0:
+        raise ValueError(f"precision must be a natural number, got {k}")
     if k > PRECISION_CAP:
         raise CapExceededError(f"precision 2^-{k} exceeds cap 2^-{PRECISION_CAP}")
     exact = mu_weight_exact(e, union_cap=union_cap)

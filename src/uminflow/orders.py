@@ -9,7 +9,7 @@ value and every operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
 class ParseError(ValueError):
@@ -312,16 +312,19 @@ def print_event(e: EventExpr) -> str:
 
 def support(e: EventExpr) -> frozenset[int]:
     """Union of the element sets of all atoms in the expression."""
-    if isinstance(e, Atom):
-        return e.order.element_set
-    if isinstance(e, Not):
-        return support(e.child)
-    if isinstance(e, (And, Or)):
-        out: frozenset[int] = frozenset()
-        for c in e.children:
-            out |= support(c)
-        return out
-    raise TypeError(f"not an event expression: {e!r}")
+    out: set[int] = set()
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Atom):
+            out.update(e.order.elements)
+        elif isinstance(e, Not):
+            stack.append(e.child)
+        elif isinstance(e, (And, Or)):
+            stack.extend(e.children)
+        else:
+            raise TypeError(f"not an event expression: {e!r}")
+    return frozenset(out)
 
 
 def _rank_of(order) -> Mapping[int, int]:
@@ -361,6 +364,64 @@ def _evaluate(e: EventExpr, rank) -> bool:
         return all(_evaluate(c, rank) for c in e.children)
     if isinstance(e, Or):
         return any(_evaluate(c, rank) for c in e.children)
+    raise TypeError(f"not an event expression: {e!r}")
+
+
+RankPredicate = Callable[[Sequence[int]], bool]
+
+
+def compile_event(e: EventExpr, index: Mapping[int, int]) -> RankPredicate:
+    """Membership of an order given as a rank tuple, compiled once per event.
+
+    The returned predicate reads the position of element x at
+    ``r[index[x]]``; ``index`` must cover support(e).  Calling it walks
+    nested closures with the tree's dispatch and atom lookups already done,
+    so it pays off when one event is tested against many orders.
+    """
+    try:
+        return _compile(e, index)
+    except KeyError:
+        missing = sorted(x for x in support(e) if x not in index)
+        raise ValueError(f"index does not cover support elements {missing}") from None
+
+
+def _compile(e: EventExpr, index: Mapping[int, int]) -> RankPredicate:
+    if isinstance(e, Atom):
+        p = [index[x] for x in e.order.elements]
+        if len(p) < 2:
+            return lambda r: True
+        if len(p) == 2:
+            a, b = p
+            return lambda r: r[a] < r[b]
+        if len(p) == 3:
+            a, b, c = p
+            return lambda r: r[a] < r[b] < r[c]
+        steps = list(zip(p, p[1:]))
+        return lambda r: all(r[a] < r[b] for a, b in steps)
+    if isinstance(e, Not):
+        f = _compile(e.child, index)
+        return lambda r: not f(r)
+    if isinstance(e, (And, Or)):
+        fs = [_compile(c, index) for c in e.children]
+        # a loop over the children, not nested pairs: a wide node must not
+        # turn into deep recursion when the predicate runs
+        if isinstance(e, And):
+
+            def conj(r) -> bool:
+                for f in fs:
+                    if not f(r):
+                        return False
+                return True
+
+            return conj
+
+        def disj(r) -> bool:
+            for f in fs:
+                if f(r):
+                    return True
+            return False
+
+        return disj
     raise TypeError(f"not an event expression: {e!r}")
 
 

@@ -32,6 +32,14 @@ def test_measure_weight_json(capsys):
     assert abs(int(num) / 2 ** int(denom) - 0.25) < 2**-10
 
 
+def test_measure_negative_precision_exit_2(capsys):
+    code, out, err = run(
+        capsys, "measure", "--method", "weight", "-k", "-3", "ord(0<1)"
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "precision" in err
+
+
 def test_measure_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "measure", "ord(1<1)")
     assert code == 2 and "parse error" in err

@@ -4,6 +4,8 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uminflow import (
     And,
@@ -11,8 +13,11 @@ from uminflow import (
     CapExceededError,
     FiniteOrder,
     FinitePoset,
+    Not,
+    Or,
     PartialPermutation,
     adjacency_event,
+    compile_event,
     evaluate,
     linear_extension_count,
     mu_adjacency,
@@ -22,7 +27,10 @@ from uminflow import (
     mu_weight_recursive,
     parse_event,
     relabel_event,
+    support,
+    universal_poset_stage,
 )
+from uminflow.measure import _count_extensions, _dnf
 from helpers import random_bijection, random_event
 
 
@@ -59,6 +67,11 @@ def test_weight_path_tautology():
 def test_weight_precision_cap():
     with pytest.raises(CapExceededError):
         mu_weight_recursive(parse_event("ord(0<1)"), 65)
+
+
+def test_weight_negative_precision():
+    with pytest.raises(ValueError, match="precision"):
+        mu_weight_recursive(parse_event("ord(0<1)"), -3)
 
 
 def test_weight_agrees_with_exact_oracle():
@@ -216,3 +229,90 @@ def test_weight_path_degenerate_atoms():
     assert mu_weight_exact(vacuous) == 1
     assert mu_weight_exact(Not(vacuous)) == 0
     assert mu_exact(vacuous) == 1
+
+
+# ---------------------------------------------------------------------------
+# The compiled enumeration against the evaluate reference
+
+
+_atoms = st.lists(st.integers(0, 5), max_size=4, unique=True).map(
+    lambda es: Atom(FiniteOrder(tuple(es)))
+)
+_events = st.recursive(
+    _atoms,
+    lambda children: st.one_of(
+        children.map(Not),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: And(tuple(cs))),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs))),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_events)
+def test_compiled_event_matches_evaluate(e):
+    sup = sorted(support(e))
+    index = {x: i for i, x in enumerate(sup)}
+    pred = compile_event(e, index)
+    count = 0
+    for rank in permutations(range(len(sup))):
+        member = evaluate(e, {x: rank[index[x]] for x in sup})
+        assert pred(rank) == member
+        count += member
+    assert mu_exact(e) == Fraction(count, factorial(len(sup)))
+    assert mu_weight_exact(e) == mu_exact(e)
+
+
+def test_compile_event_uncovered_support():
+    with pytest.raises(ValueError, match=r"\[2\]"):
+        compile_event(parse_event("ord(0<1) | ord(1<2)"), {0: 0, 1: 1})
+
+
+# ---------------------------------------------------------------------------
+# The reachable-downset DP and the union cap
+
+
+def test_count_extensions_edge_cases():
+    # 0 -> 1 -> 2 -> 0 is a cycle; 3 is free
+    assert _count_extensions(4, [0b0100, 0b0001, 0b0010, 0]) == 0
+    assert _count_extensions(10, [0] * 10) == factorial(10)
+    assert _count_extensions(16, [0] + [1 << (i - 1) for i in range(1, 16)]) == 1
+    assert _count_extensions(0, []) == 1
+
+
+def test_linear_extension_count_on_poset_stages():
+    # recorded from the dense 2^N downset DP this one replaced
+    expected = [1, 1, 1, 1, 3, 10, 18, 122, 146, 540, 2800, 6336]
+    got = [linear_extension_count(universal_poset_stage(N).stage) for N in range(1, 13)]
+    assert got == expected
+
+
+def test_union_cap_counts_minimal_conjunctions():
+    # 29 conjunctions before absorption, one (ord(0<1)) after
+    pairs = [(a, b) for a in range(6) for b in range(6) if a != b and (a, b) != (0, 1)]
+    e = Or(
+        (Atom(FiniteOrder((0, 1))),)
+        + tuple(And((Atom(FiniteOrder((0, 1))), Atom(FiniteOrder(p)))) for p in pairs)
+    )
+    assert len(_dnf(e, positive=True)) > 16
+    assert mu_weight_exact(e) == mu_exact(e) == Fraction(1, 2)
+
+
+def test_union_cap_refuses_wide_and_of_or():
+    points = list(range(8))
+    clauses = [
+        f"(ord({points[i % 8]}<{points[(i + 3) % 8]}) | "
+        f"ord({points[(i + 5) % 8]}<{points[(i + 1) % 8]}))"
+        for i in range(12)
+    ]
+    e = parse_event(" & ".join(clauses))
+    raw = len(_dnf(e, positive=True))
+    assert raw > 16
+    with pytest.raises(CapExceededError) as info:
+        mu_weight_exact(e)
+    assert str(info.value) == (
+        f"union cap 16 exceeded: 17 minimal conjunctions kept from a DNF of {raw}"
+        " conjunctions"
+    )
+    assert mu_exact(e) > 0
