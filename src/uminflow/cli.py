@@ -125,6 +125,8 @@ def _parse_graph_text(text: str) -> GraphPrefix:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be non-negative, got {args.n}")
     stream = RandomOrderStream(args.seed)
     if args.kind == "order":
         prefix = stream.prefix(args.n)
@@ -176,7 +178,10 @@ def _families(args, caps):
 def _parse_seeds(args) -> list[int]:
     if args.seeds:
         start, _, end = args.seeds.partition(":")
-        return list(range(int(start), int(end)))
+        seeds = range(int(start), int(end))
+        if not seeds:
+            raise ValueError(f"--seeds {args.seeds} is an empty range")
+        return list(seeds)
     return [args.seed]
 
 

@@ -336,22 +336,17 @@ def adjacency_event(n: int, m: int, N: int) -> EventExpr:
     Equivalently: n and m are adjacent in the order restricted to {0,...,N-1}.
     """
     _check_adjacency_args(n, m, N)
-    clauses = []
-    for j in range(N):
-        if j == n or j == m:
-            continue
-        between = Or(
-            (
-                Atom(FiniteOrder((n, j, m))),
-                Atom(FiniteOrder((m, j, n))),
-            )
-        )
-        clauses.append(Not(between))
+    clauses = [adjacency_clause(n, m, j) for j in range(N) if j != n and j != m]
     if not clauses:
         return Atom(FiniteOrder(()))
     if len(clauses) == 1:
         return clauses[0]
     return And(tuple(clauses))
+
+
+def adjacency_clause(n: int, m: int, j: int) -> EventExpr:
+    """The event that j does not lie strictly between n and m."""
+    return Not(Or((Atom(FiniteOrder((n, j, m))), Atom(FiniteOrder((m, j, n))))))
 
 
 def mu_adjacency(n: int, m: int, N: int) -> Fraction:

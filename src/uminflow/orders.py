@@ -20,7 +20,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteOrder:
     """A total order on a finite set of naturals.
 
@@ -54,22 +54,22 @@ class FiniteOrder:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     order: FiniteOrder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     child: "EventExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     children: tuple["EventExpr", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     children: tuple["EventExpr", ...]
 

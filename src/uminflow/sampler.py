@@ -4,13 +4,15 @@ Each element of N gets an independent 256-bit key derived from the seed; the
 sampled order is the order of the keys.  Key order is exchangeable, so every
 k-element cylinder has frequency 1/k!, which pins the sampled law down as the
 unique invariant one.  Test families package shrinking event sequences whose
-exact measures come from the measure module; a verdict reports the deepest
-level a sampled prefix lands in.
+exact measures come from the measure module; each family builds a level once
+and grows the next one in place.  A verdict reports the deepest level a
+sampled order lands in, read through a lazy rank view of the order.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .fraisse import DEFAULT_POSET_CAP, OrderPresentation, universal_poset_stage
 from .measure import (
     DEFAULT_EXTENSION_CAP,
-    adjacency_event,
+    adjacency_clause,
     linear_extension_count,
     mu_adjacency,
 )
@@ -32,7 +34,6 @@ from .orders import (
     Or,
     OrderPrefix,
     evaluate,
-    support,
 )
 
 SAMPLE_SIZE_CAP = 10**6
@@ -48,7 +49,49 @@ def _digest(tag: bytes, seed: int, n: int) -> bytes:
     return hashlib.sha256(material).digest()
 
 
-class RandomOrderStream:
+class _RankView(Mapping):
+    """Element x < n -> its sort key, derived only when read."""
+
+    def __init__(self, n: int, rank: Callable[[int], object]):
+        self._n = n
+        self._rank = rank
+
+    def __getitem__(self, x: int):
+        if 0 <= x < self._n:
+            return self._rank(x)
+        raise KeyError(x)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return iter(range(self._n))
+
+
+class _RankedOrderSource:
+    """An order on N given by a sort key per element, read two ways.
+
+    Subclasses provide ``_rank(x)``, the sort key of element x.
+    ``prefix(N)`` sorts range(N) by it; ``order(N)`` hands out the keys
+    themselves as a mapping that evaluate can compare, deriving each one only
+    when it is read, so the two agree, ties included.  Both share the size
+    cap and max_prefix_requested.
+    """
+
+    max_prefix_requested = 0
+
+    def _claim(self, N: int):
+        if N > SAMPLE_SIZE_CAP:
+            raise ValueError(f"prefix size {N} exceeds cap {SAMPLE_SIZE_CAP}")
+        self.max_prefix_requested = max(self.max_prefix_requested, N)
+
+    def order(self, N: int) -> Mapping:
+        """The order on range(N) as element -> sort key, revealed lazily."""
+        self._claim(N)
+        return _RankView(N, self._rank)
+
+
+class RandomOrderStream(_RankedOrderSource):
     """A lazily revealed random total order on N, determined by the seed.
 
     Single-owner mutable (the key table grows on demand); drive distinct
@@ -59,7 +102,6 @@ class RandomOrderStream:
         self.seed = seed
         self._keys: dict[int, int] = {}
         self.tie_events: list[tuple[int, int]] = []
-        self.max_prefix_requested = 0
 
     def key(self, n: int) -> int:
         k = self._keys.get(n)
@@ -76,11 +118,12 @@ class RandomOrderStream:
             return a < b
         return ka < kb
 
+    def _rank(self, x: int) -> tuple[int, int]:
+        return (self.key(x), x)
+
     def prefix(self, N: int) -> OrderPrefix:
-        if N > SAMPLE_SIZE_CAP:
-            raise ValueError(f"prefix size {N} exceeds cap {SAMPLE_SIZE_CAP}")
-        self.max_prefix_requested = max(self.max_prefix_requested, N)
-        seq = sorted(range(N), key=lambda x: (self.key(x), x))
+        self._claim(N)
+        seq = sorted(range(N), key=self._rank)
         for i in range(N - 1):
             if self.key(seq[i]) == self.key(seq[i + 1]):
                 self.tie_events.append((min(seq[i], seq[i + 1]), max(seq[i], seq[i + 1])))
@@ -99,18 +142,17 @@ def sample_prefix(seed: int, N: int) -> OrderPrefix:
     return RandomOrderStream(seed).prefix(N)
 
 
-class PresentationOrderSource:
+class PresentationOrderSource(_RankedOrderSource):
     """A fixed decidable order exposed through the prefix interface, so that
     structured orders can be run through the same tests as sampled ones."""
 
     def __init__(self, pres: OrderPresentation):
         self.pres = pres
-        self.max_prefix_requested = 0
+        self._rank = cmp_to_key(self._cmp)
 
     def prefix(self, N: int) -> OrderPrefix:
-        self.max_prefix_requested = max(self.max_prefix_requested, N)
-        seq = sorted(range(N), key=cmp_to_key(self._cmp))
-        return OrderPrefix.from_sequence(seq)
+        self._claim(N)
+        return OrderPrefix.from_sequence(sorted(range(N), key=self._rank))
 
     def _cmp(self, a: int, b: int) -> int:
         if a == b:
@@ -135,11 +177,27 @@ def sample_bits(seed: int, count: int) -> str:
 
 @dataclass(frozen=True)
 class TestLevel:
-    """One level of a shrinking family: an event and its exact measure."""
+    """One level of a shrinking family: an event, its exact measure, and its
+    window, the size of the initial segment range(window) that holds the
+    event's support.
+
+    A family raises MLLevelUnavailable for a level whose window exceeds the
+    sample cap SAMPLE_SIZE_CAP, before it builds any of the level, and
+    run_ml_tests reports that as "level budget exhausted at k".
+    """
 
     k: int
     event: EventExpr
     exact_measure: Fraction
+    window: int
+
+
+def _check_window(k: int, window: int):
+    if window > SAMPLE_SIZE_CAP:
+        raise MLLevelUnavailable(
+            f"level {k} needs a window of {window}, over the sample cap "
+            f"{SAMPLE_SIZE_CAP}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,15 +220,26 @@ def density_test_family(n_pair: tuple[int, int]) -> MLTestFamily:
     """Levels assert that the pair stays adjacent inside a growing window.
 
     Level k uses window size N(k) = 2^(k+1) * max(2, n+1, m+1), so the exact
-    measure 2/N(k) is at most 2^-k.
+    measure 2/N(k) is at most 2^-k.  Its event is adjacency_event(n, m, N(k)),
+    whose clauses extend those of every smaller window, so the family keeps
+    one clause list and appends only the clauses a new window adds.
     """
     n, m = n_pair
     if n == m:
         raise ValueError("the two points must differ")
+    clauses: list[EventExpr] = []  # one per j < covered, j not in {n, m}
+    covered = 0
 
     def level(k: int) -> TestLevel:
+        nonlocal covered
         N = 2 ** (k + 1) * max(2, n + 1, m + 1)
-        return TestLevel(k, adjacency_event(n, m, N), mu_adjacency(n, m, N))
+        measure = mu_adjacency(n, m, N)  # checks the arguments first
+        _check_window(k, N)
+        clauses.extend(
+            adjacency_clause(n, m, j) for j in range(covered, N) if j != n and j != m
+        )
+        covered = max(covered, N)
+        return TestLevel(k, And(tuple(clauses[: N - 2])), measure, N)
 
     return MLTestFamily(f"density({n},{m})", level)
 
@@ -180,15 +249,24 @@ def unbounded_test_family(n: int) -> MLTestFamily:
 
     Being minimal and being maximal in a window of w points each have
     measure 1/w and cannot happen together, so the level measure is exactly
-    2/(N(k)+1) <= 2^-k for N(k) = max(2^(k+1)-1, n+1).
+    2/(N(k)+1) <= 2^-k for N(k) = max(2^(k+1)-1, n+1).  The atoms of each
+    window extend those of every smaller one and are built once.
     """
+    below: list[EventExpr] = []  # n < j, for each j < covered other than n
+    above: list[EventExpr] = []  # j < n, likewise
+    covered = 0
 
     def level(k: int) -> TestLevel:
+        nonlocal covered
         N = max(2 ** (k + 1) - 1, n + 1)
-        others = [j for j in range(N + 1) if j != n]
-        is_min = And(tuple(Atom(FiniteOrder((n, j))) for j in others))
-        is_max = And(tuple(Atom(FiniteOrder((j, n))) for j in others))
-        return TestLevel(k, Or((is_min, is_max)), Fraction(2, N + 1))
+        _check_window(k, N + 1)
+        for j in range(covered, N + 1):
+            if j != n:
+                below.append(Atom(FiniteOrder((n, j))))
+                above.append(Atom(FiniteOrder((j, n))))
+        covered = max(covered, N + 1)
+        is_min, is_max = And(tuple(below[:N])), And(tuple(above[:N]))
+        return TestLevel(k, Or((is_min, is_max)), Fraction(2, N + 1), N + 1)
 
     return MLTestFamily(f"unbounded({n})", level)
 
@@ -225,16 +303,24 @@ def poset_test_family(
 
     There is no a-priori window schedule; level k searches for the least
     stage whose exact extension measure drops below 2^-k, and raises
-    MLLevelUnavailable once the exact-counting cap is hit.
+    MLLevelUnavailable once the exact-counting cap or the sample cap is hit.
+    Measures decrease with the stage, so every stage below the one a lower
+    level j < k chose has measure above 2^-j > 2^-k: the search resumes
+    there, and each stage is counted once per family.
     """
+    measures: dict[int, Fraction] = {}  # stage N -> its extension measure
+    chosen: dict[int, int] = {}  # level k -> its stage
 
     def level(k: int) -> TestLevel:
         bound = Fraction(1, 2**k)
-        for N in range(1, min(poset_cap, extension_cap) + 1):
-            measure = poset_level_measure(
-                N, poset_cap=poset_cap, extension_cap=extension_cap
-            )
-            if measure <= bound:
+        start = max((N for j, N in chosen.items() if j < k), default=1)
+        for N in range(start, min(poset_cap, extension_cap, SAMPLE_SIZE_CAP) + 1):
+            if N not in measures:
+                measures[N] = poset_level_measure(
+                    N, poset_cap=poset_cap, extension_cap=extension_cap
+                )
+            if measures[N] <= bound:
+                chosen[k] = N
                 stage = universal_poset_stage(N, cap=poset_cap)
                 event = And(
                     tuple(
@@ -242,7 +328,7 @@ def poset_test_family(
                         for a, b in sorted(stage.stage.relation)
                     )
                 )
-                return TestLevel(k, event, measure)
+                return TestLevel(k, event, measures[N], N)
         raise MLLevelUnavailable(
             f"no stage within cap has extension measure below 2^-{k}"
         )
@@ -283,10 +369,16 @@ def run_ml_tests(
 ) -> list[FamilyVerdict]:
     """Evaluate membership of the stream in each family level up to depth.
 
-    Only the prefix covering the level event's support is ever read.  The
-    verdict names the greatest failed level, or reports a pass to the depth
-    actually reached (test budget exhaustion is a verdict, not an error).
+    Each level is evaluated on ``stream.order(lvl.window)``, a lazy view of
+    the order on the level's window: only the keys of the elements the
+    short-circuiting evaluation actually compares are ever derived, and no
+    prefix is sorted.  The verdict names the greatest failed level, or
+    reports a pass to the depth actually reached; a level the family cannot
+    provide (over a cap) ends the run with "level budget exhausted at k", a
+    verdict, not an error.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     out = []
     for family in families:
         levels: list[LevelResult] = []
@@ -297,11 +389,8 @@ def run_ml_tests(
             except MLLevelUnavailable:
                 exhausted_at = k
                 break
-            sup = support(lvl.event)
-            prefix = stream.prefix(max(sup) + 1 if sup else 0)
-            levels.append(
-                LevelResult(k, lvl.exact_measure, evaluate(lvl.event, prefix))
-            )
+            member = evaluate(lvl.event, stream.order(lvl.window))
+            levels.append(LevelResult(k, lvl.exact_measure, member))
         failed = [r.k for r in levels if r.member]
         if failed:
             verdict = f"fails level {max(failed)}"

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from uminflow.cli import main
 
 
@@ -185,6 +187,21 @@ def test_test_depth_zero_vacuous(capsys):
     runs = json.loads(out)
     (report,) = runs[0]["reports"]
     assert report["levels"] == [] and report["verdict"] == "passes to depth 0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("test", "--seeds", "5:3"),
+        ("test", "--seeds", "3:3"),
+        ("test", "--depth", "-1"),
+        ("sample", "--seed", "0", "--n", "-4"),
+    ],
+)
+def test_empty_or_negative_ranges_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_iso_identity(capsys):

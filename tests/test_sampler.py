@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import sqrt
@@ -6,9 +7,15 @@ from math import sqrt
 import pytest
 
 from uminflow import (
+    And,
+    Atom,
+    FiniteOrder,
+    MLLevelUnavailable,
+    Or,
     OrderPrefix,
     PresentationOrderSource,
     RandomOrderStream,
+    adjacency_event,
     bits_from_graph,
     density_test_family,
     evaluate,
@@ -201,6 +208,119 @@ def test_verdict_json_schema():
     data = report.to_json()
     assert set(data) == {"family", "levels", "verdict"}
     assert all(set(l) == {"k", "exact_mu", "member"} for l in data["levels"])
+
+
+# -- levels built once, evaluated lazily
+
+LEVEL_ORDERS = (range(1, 7), (6, 2, 5))
+
+
+def _unbounded_event(n, N):
+    others = [j for j in range(N + 1) if j != n]
+    is_min = And(tuple(Atom(FiniteOrder((n, j))) for j in others))
+    is_max = And(tuple(Atom(FiniteOrder((j, n))) for j in others))
+    return Or((is_min, is_max))
+
+
+@pytest.mark.parametrize("order", LEVEL_ORDERS)
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (3, 1), (2, 5)])
+def test_density_levels_equal_fresh_build(pair, order):
+    n, m = pair
+    fam = density_test_family(pair)
+    for k in order:
+        N = 2 ** (k + 1) * max(2, n + 1, m + 1)
+        lvl = fam.level(k)
+        assert lvl.event == adjacency_event(n, m, N)
+        assert lvl.window == N
+
+
+@pytest.mark.parametrize("order", LEVEL_ORDERS)
+@pytest.mark.parametrize("n", [0, 4])
+def test_unbounded_levels_equal_fresh_build(n, order):
+    fam = unbounded_test_family(n)
+    for k in order:
+        N = max(2 ** (k + 1) - 1, n + 1)
+        lvl = fam.level(k)
+        assert lvl.event == _unbounded_event(n, N)
+        assert lvl.window == N + 1
+
+
+@pytest.mark.parametrize("order", LEVEL_ORDERS)
+def test_poset_levels_equal_fresh_family(order):
+    fam = poset_test_family()
+    for k in order:
+        assert fam.level(k) == poset_test_family().level(k)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: density_test_family((0, 1)), lambda: unbounded_test_family(0),
+             poset_test_family],
+)
+def test_level_window_covers_support(make):
+    fam = make()
+    for k in range(1, 9):
+        lvl = fam.level(k)
+        assert lvl.window >= max(support(lvl.event)) + 1
+
+
+def _prefix_verdicts(source, families, depth):
+    """Membership read off a sorted prefix covering each event's support."""
+    out = []
+    for fam in families:
+        for k in range(1, depth + 1):
+            lvl = fam.level(k)
+            prefix = source.prefix(max(support(lvl.event)) + 1)
+            out.append((fam.name, k, evaluate(lvl.event, prefix)))
+    return out
+
+
+def _lazy_verdicts(source, families, depth):
+    return [
+        (report.family, r.k, r.member)
+        for report in run_ml_tests(source, families, depth)
+        for r in report.levels
+    ]
+
+
+def test_lazy_verdicts_match_sorted_prefix():
+    families = [
+        density_test_family((0, 1)), unbounded_test_family(0), poset_test_family()
+    ]
+    for seed in range(100):
+        assert _lazy_verdicts(RandomOrderStream(seed), families, 6) == (
+            _prefix_verdicts(RandomOrderStream(seed), families, 6)
+        )
+    canon = poset_canon_presentation()
+    assert _lazy_verdicts(PresentationOrderSource(canon), families, 4) == (
+        _prefix_verdicts(PresentationOrderSource(canon), families, 4)
+    )
+
+
+def test_lazy_view_derives_only_compared_keys():
+    stream = RandomOrderStream(3)
+    fam = density_test_family((0, 1))
+    run_ml_tests(stream, [fam], 9)
+    assert stream.max_prefix_requested == fam.level(9).window == 2048
+    assert len(stream._keys) < 100
+
+
+def test_stream_order_view_covers_its_window():
+    view = RandomOrderStream(8).order(5)
+    assert list(view) == list(range(5)) and 4 in view and 5 not in view
+    with pytest.raises(ValueError, match=r"cover support elements \[5\]"):
+        evaluate(Atom(FiniteOrder((0, 5))), view)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        RandomOrderStream(8).order(10**6 + 1)
+
+
+@pytest.mark.parametrize(
+    "fam, k", [(density_test_family((0, 1)), 18), (unbounded_test_family(0), 19)]
+)
+def test_level_over_sample_cap_is_unavailable_before_building(fam, k):
+    t0 = time.perf_counter()
+    with pytest.raises(MLLevelUnavailable, match="over the sample cap"):
+        fam.level(k)
+    assert time.perf_counter() - t0 < 0.5
 
 
 # -- codec
