@@ -4,8 +4,15 @@ A presentation is a decidable relation on N: the dense linear order without
 endpoints (compare by a fixed enumeration of the rationals), the random graph
 (a binary-digit adjacency predicate), and a universal poset built in stages by
 a deterministic demand-filling construction together with a distinguished
-linear extension of it.  Isomorphisms between order presentations are produced
-by the effective back-and-forth procedure.
+linear extension of it.
+
+One back-and-forth engine (``_alternate``) builds both the isomorphisms
+between order presentations (``back_and_forth``) and the randomizer
+certificates of the randomizer module.  It owns the alternation, the
+nearest-neighbour lookup by sort key, the coverage stop and the budget
+error; each caller supplies only a picker per side that chooses the image
+inside the neighbours' interval.  ``back_and_forth`` picks the least
+compatible index, scanned by ``_scan``, the one chunked candidate search.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, count, product
 from math import gcd
 from typing import Callable, Iterable, Iterator
@@ -26,7 +34,8 @@ DEFAULT_SEARCH_BUDGET = 1 << 16
 
 class SearchBudgetError(RuntimeError):
     """A witness search was abandoned; the presentation is not homogeneous
-    at the explored scale, or the budget is too small for it."""
+    at the explored scale, or the budget is too small for it.  ``blocking``
+    is the point whose partner was not found."""
 
     def __init__(self, message: str, blocking: int):
         super().__init__(message)
@@ -51,6 +60,12 @@ class OrderPresentation:
 
     def less(self, a: int, b: int) -> bool:
         return self.less_fn(a, b)
+
+    def compare(self, a: int, b: int) -> int:
+        """-1, 0 or 1 as a lies below, at or above b: a cmp_to_key comparator."""
+        if a == b:
+            return 0
+        return -1 if self.less(a, b) else 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -686,6 +701,75 @@ def check_density(
     return DensityReport(pres.name, n, search_bound, between, below, above)
 
 
+_SCAN_CHUNKS = (1 << 10, 1 << 12, 1 << 14)
+
+
+def _scan(key, taken, lo, hi, budget: int, target=None, enough: int = 1) -> int | None:
+    """An index c < budget, not taken, with lo < key(c) < hi (None: no bound).
+
+    Without a target, the least such index.  With one, indices are scanned
+    in growing chunks, and the first chunk to end with at least ``enough``
+    candidates seen (or the budget reached) gives the candidate whose key is
+    nearest the target.  None when the budget holds no candidate.
+    """
+    best = best_dist = None
+    seen = start = 0
+    for end in (*_SCAN_CHUNKS, budget):
+        for c in range(start, min(end, budget)):
+            if c in taken:
+                continue
+            k = key(c)
+            if (lo is not None and not lo < k) or (hi is not None and not k < hi):
+                continue
+            if target is None:
+                return c
+            seen += 1
+            d = abs(k - target)
+            if best_dist is None or d < best_dist:
+                best, best_dist = c, d
+        if best is not None and (seen >= enough or end >= budget):
+            return best
+        start = end
+    return None
+
+
+def _alternate(n: int, key_a, key_b, pick_forth, pick_back) -> dict[int, int]:
+    """Cantor's back-and-forth between two orders on N, to depth n.
+
+    Forth steps map the least unmapped point of A into B, back steps the
+    least unmapped point of B into A, alternating until the domain and the
+    range both cover range(n).  The map is an order isomorphism at every
+    step, so an image is compatible with every mapped pair exactly when it
+    lies strictly between the partners of the point's nearest mapped
+    neighbours, found here by each side's sort key.  The step's picker
+    chooses that image: ``pick(kx, lo, hi, taken)`` gets the point's key,
+    each neighbour as (its key, its partner's key), (None, None) at an end,
+    and the points already taken on the other side; it returns the image,
+    or None when its search budget runs out.  Returns the forward map.
+    """
+    fwd: dict[int, int] = {}
+    bwd: dict[int, int] = {}
+    steps = ((fwd, bwd, key_a, key_b, pick_forth), (bwd, fwd, key_b, key_a, pick_back))
+    while True:
+        for pairs, taken, key_x, key_y, pick in steps:
+            if all(i in fwd for i in range(n)) and all(i in bwd for i in range(n)):
+                return fwd
+            x = next(i for i in count() if i not in pairs)
+            kx = key_x(x)
+            lo = hi = (None, None)
+            for x0, y0 in pairs.items():
+                k0 = key_x(x0)
+                if k0 < kx:
+                    if lo[0] is None or lo[0] < k0:
+                        lo = (k0, key_y(y0))
+                elif hi[0] is None or k0 < hi[0]:
+                    hi = (k0, key_y(y0))
+            y = pick(kx, lo, hi, taken)
+            if y is None:
+                raise SearchBudgetError(f"no partner for {x} within budget", blocking=x)
+            pairs[x], taken[y] = y, x
+
+
 def back_and_forth(
     pres_a: OrderPresentation,
     pres_b: OrderPresentation,
@@ -700,40 +784,11 @@ def back_and_forth(
     presentations; a witness search that exceeds the budget raises
     SearchBudgetError naming the blocking point.
     """
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
+    # sort keys: the values where given, else the comparisons themselves
+    key_a, key_b = (p.value_fn or cmp_to_key(p.compare) for p in (pres_a, pres_b))
 
-    def covered() -> bool:
-        return all(i in fwd for i in range(n)) and all(i in bwd for i in range(n))
+    def least_in(key):
+        return lambda kx, lo, hi, taken: _scan(key, taken, lo[1], hi[1], search_budget)
 
-    def extend(pres_x, pres_y, x, pairs: dict[int, int], taken: dict[int, int]) -> int:
-        # The map is an order isomorphism at every step, so "compatible with
-        # every mapped pair" collapses to lying strictly between the images
-        # of x's nearest mapped neighbours.
-        lo = hi = None
-        for x0, y0 in pairs.items():
-            if pres_x.less(x0, x):
-                if lo is None or pres_x.less(lo[0], x0):
-                    lo = (x0, y0)
-            elif hi is None or pres_x.less(x0, hi[0]):
-                hi = (x0, y0)
-        for y in range(search_budget):
-            if y in taken:
-                continue
-            if lo is not None and not pres_y.less(lo[1], y):
-                continue
-            if hi is not None and not pres_y.less(y, hi[1]):
-                continue
-            return y
-        raise SearchBudgetError(f"no partner for {x} within budget", blocking=x)
-
-    while not covered():
-        a = next(i for i in count() if i not in fwd)
-        b = extend(pres_a, pres_b, a, fwd, bwd)
-        fwd[a], bwd[b] = b, a
-        if covered():
-            break
-        b = next(i for i in count() if i not in bwd)
-        a = extend(pres_b, pres_a, b, bwd, fwd)
-        fwd[a], bwd[b] = b, a
+    fwd = _alternate(n, key_a, key_b, least_in(key_b), least_in(key_a))
     return PartialPermutation.from_mapping(fwd)

@@ -4,7 +4,12 @@ A depth-n certificate records a partial permutation sigma with
 a <_tau b  iff  sigma(a) <_xi sigma(b) over its whole domain: the finite,
 checkable part of "sigma carries tau to the sampled order".  Full membership
 in the randomizer set is a tail property and is never asserted; certificates
-only ever claim their verified depth.
+only ever claim their verified depth, and verify only if their pairs cover it.
+
+Certificates come from the back-and-forth engine of the fraisse module, with
+this module's two pickers: forth steps take the stream index whose key lies
+nearest a target interpolated from tau's values, back steps take tau's
+``locate_fn`` image, or else the code nearest the interpolated value.
 """
 
 from __future__ import annotations
@@ -12,21 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
 
 from .fraisse import (
     DEFAULT_POSET_CAP,
     DEFAULT_SEARCH_BUDGET,
     OrderPresentation,
-    SearchBudgetError,
+    _alternate,
+    _scan,
     universal_poset_stage,
 )
-from .measure import DEFAULT_EXTENSION_CAP, linear_extension_count
+from .measure import DEFAULT_EXTENSION_CAP
 from .orders import OrderPrefix, PartialPermutation, act
-from .sampler import KEY_BITS, RandomOrderStream
+from .sampler import KEY_BITS, RandomOrderStream, poset_level_measure
 
 _KEY_SPACE = 2**KEY_BITS
-_SCAN_CHUNKS = (1 << 10, 1 << 12, 1 << 14)
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,29 @@ class RandomizerCertificate:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "RandomizerCertificate":
-        sigma = PartialPermutation(tuple((a, b) for a, b in data["pairs"]))
-        return cls(sigma, data["tau"], data["seed"], data["depth"])
+    def from_json(cls, data) -> "RandomizerCertificate":
+        """Parse to_json output; ValueError names what is malformed."""
+        if not isinstance(data, dict):
+            raise ValueError("certificate must be a JSON object")
+        missing = sorted({"seed", "tau", "pairs", "depth"} - data.keys())
+        if missing:
+            raise ValueError(f"certificate lacks {', '.join(missing)}")
+        seed, tau, pairs, depth = (data[k] for k in ("seed", "tau", "pairs", "depth"))
+        if not (isinstance(seed, int) and _is_natural(depth)):
+            raise ValueError("certificate seed must be an integer, depth a natural")
+        if not isinstance(tau, str):
+            raise ValueError("certificate tau must be a string")
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_natural, p))
+            for p in pairs
+        ):
+            raise ValueError("certificate pairs must be [a, b] pairs of naturals")
+        sigma = PartialPermutation(tuple((a, b) for a, b in pairs))
+        return cls(sigma, tau, seed, depth)
+
+
+def _is_natural(v) -> bool:
+    return isinstance(v, int) and v >= 0
 
 
 def _surrogate_values(pres: OrderPresentation):
@@ -75,71 +99,6 @@ def _surrogate_values(pres: OrderPresentation):
     return value
 
 
-def _scan_keys(xi, taken, lo_key: int, hi_key: int, target: int, budget: int) -> int:
-    """Stream index with key inside (lo_key, hi_key) closest to the target.
-
-    Scans in growing chunks and stops once a few candidates have been seen:
-    picking near-target keys (rather than the least index) is what keeps
-    later interval demands from collapsing.
-    """
-    best = None
-    best_dist = None
-    seen = 0
-    start = 0
-    for end in (*_SCAN_CHUNKS, budget):
-        for b in range(start, min(end, budget)):
-            if b in taken:
-                continue
-            k = xi.key(b)
-            if not lo_key < k < hi_key:
-                continue
-            seen += 1
-            d = abs(k - target)
-            if best_dist is None or d < best_dist:
-                best, best_dist = b, d
-        if seen >= 3 or (best is not None and end >= budget):
-            return best
-        start = end
-    if best is not None:
-        return best
-    raise SearchBudgetError(
-        f"stream gap of width {(hi_key - lo_key) / 2**KEY_BITS:.3g} "
-        "has no index within budget",
-        blocking=target,
-    )
-
-
-def _scan_codes(
-    pres, value, taken, v_lo, v_hi, target: Fraction | None, budget: int
-) -> int:
-    """Code with value inside (v_lo, v_hi): nearest the target when one is
-    given, else the least code (used at the ends, where no scale exists)."""
-    best = None
-    best_dist = None
-    start = 0
-    for end in (*_SCAN_CHUNKS, budget):
-        for c in range(start, min(end, budget)):
-            if c in taken:
-                continue
-            v = value(c)
-            if v_lo is not None and not v_lo < v:
-                continue
-            if v_hi is not None and not v < v_hi:
-                continue
-            if target is None:
-                return c
-            d = abs(v - target)
-            if best_dist is None or d < best_dist:
-                best, best_dist = c, d
-        if best is not None:
-            return best
-        start = end
-    raise SearchBudgetError(
-        f"{pres.name} interval ({v_lo}, {v_hi}) has no code within budget",
-        blocking=0,
-    )
-
-
 def compute_randomizer(
     tau: OrderPresentation,
     xi: RandomOrderStream,
@@ -155,53 +114,32 @@ def compute_randomizer(
     exponentially with depth.  Images are instead chosen near the key
     proportional to the element's position in value space, which keeps the
     shrinkage polynomial; the stream still reveals keys on demand and a
-    search past the budget raises with the blocking demand.
+    search past the budget raises with the blocking point.
     """
     value = tau.value_fn if tau.value_fn is not None else _surrogate_values(tau)
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
 
-    def forth():
-        a = next(i for i in range(n + len(fwd) + 1) if i not in fwd)
-        va = value(a)
-        lo = hi = None  # (value, image key) neighbours of a in tau
-        for a0, b0 in fwd.items():
-            v0 = value(a0)
-            if v0 < va:
-                if lo is None or v0 > lo[0]:
-                    lo = (v0, xi.key(b0))
-            elif hi is None or v0 < hi[0]:
-                hi = (v0, xi.key(b0))
-        lo_key = lo[1] if lo is not None else 0
-        hi_key = hi[1] if hi is not None else _KEY_SPACE
-        if lo is not None and hi is not None:
-            t = (va - lo[0]) / (hi[0] - lo[0])
-        elif lo is not None:
+    def forth(va, lo, hi, taken):
+        # lo, hi: (value, image key) of the nearest mapped neighbours in tau
+        (v_lo, lo_key), (v_hi, hi_key) = lo, hi
+        if v_lo is not None and v_hi is not None:
+            t = (va - v_lo) / (v_hi - v_lo)
+        elif v_lo is not None:
             t = Fraction(1, 10)  # new maximum: leave most key space above
-        elif hi is not None:
+        elif v_hi is not None:
             t = Fraction(9, 10)  # new minimum: leave most key space below
         else:
             t = Fraction(1, 2)
+        lo_key = 0 if lo_key is None else lo_key
+        hi_key = _KEY_SPACE if hi_key is None else hi_key
         target = lo_key + int(t * (hi_key - lo_key))
-        b = _scan_keys(xi, bwd, lo_key, hi_key, target, search_budget)
-        fwd[a], bwd[b] = b, a
+        return _scan(xi.key, taken, lo_key, hi_key, search_budget, target, enough=3)
 
-    def back():
-        b = next(i for i in range(n + len(bwd) + 1) if i not in bwd)
-        kb = xi.key(b)
-        lo = hi = None  # (key, preimage value) neighbours of b in the stream
-        for b0, a0 in bwd.items():
-            k0 = xi.key(b0)
-            if k0 < kb:
-                if lo is None or k0 > lo[0]:
-                    lo = (k0, value(a0))
-            elif hi is None or k0 < hi[0]:
-                hi = (k0, value(a0))
-        v_lo = lo[1] if lo is not None else None
-        v_hi = hi[1] if hi is not None else None
-        if v_lo is not None and v_hi is not None:
-            t = Fraction(kb - lo[0], hi[0] - lo[0])
-            target = v_lo + t * (v_hi - v_lo)
+    def back(kb, lo, hi, taken):
+        # lo, hi: (key, preimage value) of the nearest mapped neighbours in xi
+        (k_lo, v_lo), (k_hi, v_hi) = lo, hi
+        interior = v_lo is not None and v_hi is not None
+        if interior:
+            target = v_lo + Fraction(kb - k_lo, k_hi - k_lo) * (v_hi - v_lo)
         elif v_lo is not None:
             target = v_lo + 1
         elif v_hi is not None:
@@ -209,23 +147,13 @@ def compute_randomizer(
         else:
             target = Fraction(0)
         if tau.locate_fn is not None:
-            a = tau.locate_fn(v_lo, v_hi, target)
-        else:
-            interior = v_lo is not None and v_hi is not None
-            a = _scan_codes(
-                tau, value, fwd, v_lo, v_hi, target if interior else None,
-                search_budget,
-            )
-        fwd[a], bwd[b] = b, a
+            return tau.locate_fn(v_lo, v_hi, target)
+        # no scale at the ends: take the least code there
+        return _scan(
+            value, taken, v_lo, v_hi, search_budget, target if interior else None
+        )
 
-    def covered() -> bool:
-        return all(i in fwd for i in range(n)) and all(i in bwd for i in range(n))
-
-    while not covered():
-        forth()
-        if covered():
-            break
-        back()
+    fwd = _alternate(n, value, xi.key, forth, back)
     return RandomizerCertificate(
         PartialPermutation.from_mapping(fwd), tau.name, xi.seed, n
     )
@@ -234,13 +162,17 @@ def compute_randomizer(
 def verify_certificate(
     c: RandomizerCertificate, tau: OrderPresentation, xi: RandomOrderStream
 ) -> bool:
-    """Re-derive the stream order and check the invariant over every pair."""
+    """Check that the pairs cover range(c.n) on both sides and, re-deriving
+    the stream order, that the invariant holds over every pair."""
     if c.seed != xi.seed:
         raise ValueError(f"certificate seed {c.seed} does not match stream {xi.seed}")
     if c.tau_id != tau.name:
         raise ValueError(
             f"certificate source {c.tau_id!r} does not match presentation {tau.name!r}"
         )
+    depth = set(range(c.n))
+    if not (c.sigma.domain() >= depth and c.sigma.range() >= depth):
+        return False
     items = c.sigma.pairs
     for i, (a, fa) in enumerate(items):
         for b, fb in items[i + 1 :]:
@@ -334,7 +266,5 @@ def poset_automorphism_obstruction(
         image = act(g, canon)
         if all(image.less(a, b) for a, b in rel):
             trapped += 1
-    measure = Fraction(
-        linear_extension_count(stage.stage, cap=extension_cap), factorial(n)
-    )
+    measure = poset_level_measure(n, poset_cap=cap, extension_cap=extension_cap)
     return ObstructionReport(n, total, trapped, measure)

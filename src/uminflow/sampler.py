@@ -148,16 +148,11 @@ class PresentationOrderSource(_RankedOrderSource):
 
     def __init__(self, pres: OrderPresentation):
         self.pres = pres
-        self._rank = cmp_to_key(self._cmp)
+        self._rank = cmp_to_key(pres.compare)
 
     def prefix(self, N: int) -> OrderPrefix:
         self._claim(N)
         return OrderPrefix.from_sequence(sorted(range(N), key=self._rank))
-
-    def _cmp(self, a: int, b: int) -> int:
-        if a == b:
-            return 0
-        return -1 if self.pres.less(a, b) else 1
 
 
 def sample_bits(seed: int, count: int) -> str:
@@ -227,13 +222,15 @@ def density_test_family(n_pair: tuple[int, int]) -> MLTestFamily:
     n, m = n_pair
     if n == m:
         raise ValueError("the two points must differ")
+    if n < 0 or m < 0:
+        raise ValueError(f"points must be non-negative, got ({n}, {m})")
     clauses: list[EventExpr] = []  # one per j < covered, j not in {n, m}
     covered = 0
 
     def level(k: int) -> TestLevel:
         nonlocal covered
         N = 2 ** (k + 1) * max(2, n + 1, m + 1)
-        measure = mu_adjacency(n, m, N)  # checks the arguments first
+        measure = mu_adjacency(n, m, N)
         _check_window(k, N)
         clauses.extend(
             adjacency_clause(n, m, j) for j in range(covered, N) if j != n and j != m
@@ -252,6 +249,8 @@ def unbounded_test_family(n: int) -> MLTestFamily:
     2/(N(k)+1) <= 2^-k for N(k) = max(2^(k+1)-1, n+1).  The atoms of each
     window extend those of every smaller one and are built once.
     """
+    if n < 0:
+        raise ValueError(f"the point must be non-negative, got {n}")
     below: list[EventExpr] = []  # n < j, for each j < covered other than n
     above: list[EventExpr] = []  # j < n, likewise
     covered = 0

@@ -196,6 +196,8 @@ def test_test_depth_zero_vacuous(capsys):
         ("test", "--seeds", "3:3"),
         ("test", "--depth", "-1"),
         ("sample", "--seed", "0", "--n", "-4"),
+        ("test", "--depth", "0", "--pair", "0,-1", "--families", "density"),
+        ("test", "--depth", "0", "--point", "-3", "--families", "unbounded"),
     ],
 )
 def test_empty_or_negative_ranges_exit_2(capsys, argv):
@@ -233,3 +235,35 @@ def test_randomizer_verify_corrupted_exit_4(tmp_path, capsys):
     cert_file.write_text(json.dumps(cert))
     code, _, err = run(capsys, "randomizer", "--seed", "2", "--verify", str(cert_file))
     assert code == 4 and "verification failed" in err
+
+
+def test_randomizer_verify_uncovered_depth_exit_4(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(
+        json.dumps({"seed": 2, "tau": "rational-v1", "pairs": [], "depth": 100})
+    )
+    code, out, err = run(
+        capsys, "randomizer", "--seed", "2", "--verify", str(cert_file)
+    )
+    assert code == 4 and out == "" and "verification failed" in err
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        {},
+        [],
+        {"seed": 2, "tau": "rational-v1", "pairs": [[0]], "depth": 1},
+        {"seed": 2, "tau": "rational-v1", "pairs": [[0, -1]], "depth": 1},
+        {"seed": 2, "tau": "rational-v1", "pairs": [[0, 0]], "depth": "1"},
+        {"seed": "2", "tau": "rational-v1", "pairs": [[0, 0]], "depth": 1},
+    ],
+)
+def test_randomizer_verify_malformed_exit_2(tmp_path, capsys, cert):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert))
+    code, out, err = run(
+        capsys, "randomizer", "--seed", "2", "--verify", str(cert_file)
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: certificate")

@@ -7,6 +7,7 @@ from uminflow import (
     PartialPermutation,
     RandomOrderStream,
     RandomizerCertificate,
+    SearchBudgetError,
     act,
     compute_randomizer,
     conjugation_check,
@@ -82,6 +83,24 @@ def test_verify_rejects_corruption():
         PartialPermutation.from_mapping(pairs), cert.tau_id, cert.seed, cert.n
     )
     assert not verify_certificate(bad, TAU, RandomOrderStream(4))
+
+
+def test_verify_rejects_uncovered_depth():
+    stream = RandomOrderStream(4)
+    empty = RandomizerCertificate(PartialPermutation(()), TAU.name, 4, 100)
+    assert not verify_certificate(empty, TAU, stream)
+    cert = _cert(4, 30)
+    deeper = max(cert.sigma.domain()) + 2
+    short = RandomizerCertificate(cert.sigma, cert.tau_id, cert.seed, deeper)
+    assert not verify_certificate(short, TAU, stream)
+
+
+@pytest.mark.parametrize("seed, blocking", [(5, 140), (28, 126)])
+def test_budget_refusal_names_the_point(seed, blocking):
+    with pytest.raises(SearchBudgetError) as err:
+        _cert(seed, 150)
+    assert err.value.blocking == blocking
+    assert str(err.value) == f"no partner for {blocking} within budget"
 
 
 def test_verify_seed_mismatch():
