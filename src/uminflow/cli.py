@@ -25,6 +25,8 @@ from .measure import (
     CapExceededError,
     DEFAULT_EXTENSION_CAP,
     DEFAULT_SUPPORT_CAP,
+    DEFAULT_UNION_CAP,
+    PRECISION_CAP,
     mu_exact,
     mu_weight_recursive,
 )
@@ -293,7 +295,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="measure of an event expression")
     p.add_argument("expr")
-    p.add_argument("--method", choices=("exact", "weight"), default="exact")
+    p.add_argument(
+        "--method",
+        choices=("exact", "weight"),
+        default="exact",
+        help="exact: enumerate the support's orders (--cap-support); weight: "
+        f"signed cylinder union, with a fixed union cap of {DEFAULT_UNION_CAP} "
+        f"minimal conjunctions and a fixed precision cap of -k {PRECISION_CAP}; "
+        "neither cap is settable by a --cap-* flag or UMINFLOW_CAPS",
+    )
     p.add_argument("-k", "--precision", type=int, default=20)
     common(p)
     p.set_defaults(fn=_cmd_measure)

@@ -11,18 +11,23 @@ between order presentations (``back_and_forth``) and the randomizer
 certificates of the randomizer module.  It owns the alternation, the
 nearest-neighbour lookup by sort key, the coverage stop and the budget
 error; each caller supplies only a picker per side that chooses the image
-inside the neighbours' interval.  ``back_and_forth`` picks the least
-compatible index, scanned by ``_scan``, the one chunked candidate search.
+inside the neighbours' interval.  Each side's mapped keys are kept sorted,
+so one bisect finds both neighbours; the map is an order isomorphism at
+every step, so no taken point lies inside the interval, and the pickers
+keep no record of them.  ``back_and_forth`` picks the least compatible
+index from ``_scanner``, the per-call index of chunked candidate keys.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, count, product
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .measure import CapExceededError, FinitePoset
@@ -35,11 +40,15 @@ DEFAULT_SEARCH_BUDGET = 1 << 16
 class SearchBudgetError(RuntimeError):
     """A witness search was abandoned; the presentation is not homogeneous
     at the explored scale, or the budget is too small for it.  ``blocking``
-    is the point whose partner was not found."""
+    is the point whose partner was not found, ``budget`` the number of
+    candidate indices searched, and ``interval`` the (lo, hi) bounds on the
+    other side's sort key that held no candidate, None at an open end."""
 
-    def __init__(self, message: str, blocking: int):
+    def __init__(self, message: str, blocking: int, budget: int, interval: tuple):
         super().__init__(message)
         self.blocking = blocking
+        self.budget = budget
+        self.interval = interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -702,38 +711,70 @@ def check_density(
 
 
 _SCAN_CHUNKS = (1 << 10, 1 << 12, 1 << 14)
+_first = itemgetter(0)
 
 
-def _scan(key, taken, lo, hi, budget: int, target=None, enough: int = 1) -> int | None:
-    """An index c < budget, not taken, with lo < key(c) < hi (None: no bound).
+def _scanner(key, budget: int):
+    """A per-call index over the candidate indices c < budget.
 
-    Without a target, the least such index.  With one, indices are scanned
-    in growing chunks, and the first chunk to end with at least ``enough``
-    candidates seen (or the budget reached) gives the candidate whose key is
-    nearest the target.  None when the budget holds no candidate.
+    ``scan(lo, hi, target=None, enough=1)`` returns an index c < budget with
+    lo < key(c) < hi (None: no bound), or None when the budget holds none.
+    Without a target, the least such index.  With one, the key nearest the
+    target (the least index on equal distance) among the chunks up to the
+    first to end with at least ``enough`` candidates in it and before it, or
+    the budget reached.  Keys are revealed in index order into one sorted
+    (key, index) block per chunk, so a block's candidates are one bisected
+    slice; a least-index scan reveals nothing past its answer.
     """
-    best = best_dist = None
-    seen = start = 0
-    for end in (*_SCAN_CHUNKS, budget):
-        for c in range(start, min(end, budget)):
-            if c in taken:
-                continue
-            k = key(c)
-            if (lo is not None and not lo < k) or (hi is not None and not k < hi):
-                continue
-            if target is None:
-                return c
-            seen += 1
-            d = abs(k - target)
-            if best_dist is None or d < best_dist:
-                best, best_dist = c, d
-        if best is not None and (seen >= enough or end >= budget):
-            return best
-        start = end
-    return None
+    ends = sorted({min(e, budget) for e in _SCAN_CHUNKS} | {budget})
+    blocks: list[list[tuple]] = [[] for _ in ends]
+    revealed = 0
+
+    def scan(lo, hi, target=None, enough: int = 1) -> int | None:
+        nonlocal revealed
+
+        def inside(block) -> tuple[int, int]:
+            i = 0 if lo is None else bisect_right(block, lo, key=_first)
+            j = len(block) if hi is None else bisect_left(block, hi, key=_first)
+            return i, max(i, j)
+
+        if target is None:
+            for block in blocks:
+                i, j = inside(block)
+                if i < j:
+                    return min(c for _, c in block[i:j])
+            while revealed < budget:
+                c, k = revealed, key(revealed)
+                insort(blocks[bisect_right(ends, c)], (k, c), key=_first)
+                revealed += 1
+                if (lo is None or lo < k) and (hi is None or k < hi):
+                    return c
+            return None
+        best = None  # (distance, index)
+        seen = 0
+        for block, end in zip(blocks, ends):
+            if revealed < end:
+                block.extend((key(c), c) for c in range(revealed, end))
+                block.sort(key=_first)  # stable: equal keys stay in index order
+                revealed = end
+            i, j = inside(block)
+            seen += j - i
+            at = bisect_left(block, target, i, j, key=_first)
+            for q in (at - 1, at):  # the nearest keys below and above the target
+                if i <= q < j:
+                    k, c = block[bisect_left(block, block[q][0], i, q, key=_first)]
+                    near = (abs(k - target), c)
+                    best = near if best is None else min(best, near)
+            if best is not None and (seen >= enough or end >= budget):
+                return best[1]
+        return None
+
+    return scan
 
 
-def _alternate(n: int, key_a, key_b, pick_forth, pick_back) -> dict[int, int]:
+def _alternate(
+    n: int, key_a, key_b, pick_forth, pick_back, budget: int
+) -> dict[int, int]:
     """Cantor's back-and-forth between two orders on N, to depth n.
 
     Forth steps map the least unmapped point of A into B, back steps the
@@ -741,33 +782,39 @@ def _alternate(n: int, key_a, key_b, pick_forth, pick_back) -> dict[int, int]:
     range both cover range(n).  The map is an order isomorphism at every
     step, so an image is compatible with every mapped pair exactly when it
     lies strictly between the partners of the point's nearest mapped
-    neighbours, found here by each side's sort key.  The step's picker
-    chooses that image: ``pick(kx, lo, hi, taken)`` gets the point's key,
-    each neighbour as (its key, its partner's key), (None, None) at an end,
-    and the points already taken on the other side; it returns the image,
-    or None when its search budget runs out.  Returns the forward map.
+    neighbours, and no point already mapped lies there: a picker needs no
+    record of the points taken.  Each side keeps its mapped sort keys in
+    order, each beside its partner's key, so both neighbours come from one
+    bisect.  ``pick(kx, lo, hi)`` gets the point's key and each neighbour as
+    (its key, its partner's key), (None, None) at an end; it returns the
+    image, or None when its search budget runs out.  Returns the forward map.
     """
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    steps = ((fwd, bwd, key_a, key_b, pick_forth), (bwd, fwd, key_b, key_a, pick_back))
+    maps: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    mapped: tuple[list, list] = ([], [])  # per side: (key, partner's key), sorted
+    least, covered = [0, 0], [0, 0]  # per side: least unmapped, mapped points < n
+    sides = ((0, key_a, key_b, pick_forth), (1, key_b, key_a, pick_back))
     while True:
-        for pairs, taken, key_x, key_y, pick in steps:
-            if all(i in fwd for i in range(n)) and all(i in bwd for i in range(n)):
-                return fwd
-            x = next(i for i in count() if i not in pairs)
+        for s, key_x, key_y, pick in sides:
+            if min(covered) >= n:
+                return maps[0]
+            while least[s] in maps[s]:
+                least[s] += 1
+            x = least[s]
             kx = key_x(x)
-            lo = hi = (None, None)
-            for x0, y0 in pairs.items():
-                k0 = key_x(x0)
-                if k0 < kx:
-                    if lo[0] is None or lo[0] < k0:
-                        lo = (k0, key_y(y0))
-                elif hi[0] is None or k0 < hi[0]:
-                    hi = (k0, key_y(y0))
-            y = pick(kx, lo, hi, taken)
-            if y is None:
-                raise SearchBudgetError(f"no partner for {x} within budget", blocking=x)
-            pairs[x], taken[y] = y, x
+            at = bisect_left(mapped[s], kx, key=_first)
+            lo = mapped[s][at - 1] if at else (None, None)
+            hi = mapped[s][at] if at < len(mapped[s]) else (None, None)
+            y = pick(kx, lo, hi)
+            if y is None:  # a comparator's sort key stands for its element
+                interval = tuple(getattr(k, "obj", k) for k in (lo[1], hi[1]))
+                message = f"no partner for {x} within budget"
+                raise SearchBudgetError(message, x, budget, interval)
+            ky, t = key_y(y), 1 - s
+            maps[s][x], maps[t][y] = y, x
+            mapped[s].insert(at, (kx, ky))
+            insort(mapped[t], (ky, kx), key=_first)
+            covered[s] += x < n
+            covered[t] += y < n
 
 
 def back_and_forth(
@@ -788,7 +835,8 @@ def back_and_forth(
     key_a, key_b = (p.value_fn or cmp_to_key(p.compare) for p in (pres_a, pres_b))
 
     def least_in(key):
-        return lambda kx, lo, hi, taken: _scan(key, taken, lo[1], hi[1], search_budget)
+        scan = _scanner(key, search_budget)
+        return lambda kx, lo, hi: scan(lo[1], hi[1])
 
-    fwd = _alternate(n, key_a, key_b, least_in(key_b), least_in(key_a))
+    fwd = _alternate(n, key_a, key_b, least_in(key_b), least_in(key_a), search_budget)
     return PartialPermutation.from_mapping(fwd)

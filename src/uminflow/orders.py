@@ -197,12 +197,20 @@ class PartialPermutation:
 # term   := factor { "&" factor }
 # factor := "!" factor | "(" expr ")" | atom
 # atom   := "ord(" nat { "<" nat } ")"
+#
+# A factor may sit inside at most MAX_EVENT_NESTING "!" and "(": the parser
+# refuses deeper text before it recurses, so that parsing (three frames a
+# level), printing, compiling, evaluating and the DNF rewrite (one frame a
+# level each) stay inside Python's default recursion limit of 1000.
+
+MAX_EVENT_NESTING = 200
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # "!" and "(" enclosing the current factor
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -248,13 +256,19 @@ class _Parser:
         return Atom(FiniteOrder(tuple(elements)))
 
     def factor(self) -> EventExpr:
+        if self.peek() not in ("!", "("):
+            return self.atom()
+        if self.depth == MAX_EVENT_NESTING:
+            raise self.error(f"event nested deeper than {MAX_EVENT_NESTING}")
+        self.depth += 1
         if self.eat("!"):
-            return Not(self.factor())
-        if self.eat("("):
+            e = Not(self.factor())
+        else:
+            self.expect("(")
             e = self.expr()
             self.expect(")")
-            return e
-        return self.atom()
+        self.depth -= 1
+        return e
 
     def term(self) -> EventExpr:
         factors = [self.factor()]

@@ -47,6 +47,31 @@ def test_measure_parse_error_exit_2(capsys):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "expr", ["!" * 3000 + "ord(0<1)", "(" * 3000 + "ord(0<1)" + ")" * 3000]
+)
+def test_measure_deep_nesting_exit_2(capsys, expr):
+    code, out, err = run(capsys, "measure", expr)
+    assert code == 2 and out == ""
+    assert err == "parse error: event nested deeper than 200 (at position 200)\n"
+
+
+@pytest.mark.parametrize("method, mu", [("exact", "1/2"), ("weight", "524288/2^20")])
+@pytest.mark.parametrize("depth", [199, 200])
+def test_measure_at_nesting_cap(capsys, method, mu, depth):
+    expr = "!" * (depth - 2) + "((ord(0<1)))"
+    code, out, _ = run(capsys, "measure", "--method", method, expr)
+    assert code == 0 and out.strip() == mu
+
+
+def test_measure_help_names_the_fixed_weight_caps(capsys):
+    code, out, _ = run(capsys, "measure", "--help")
+    text = " ".join(out.split())
+    assert code == 0
+    assert "fixed union cap of 16" in text and "fixed precision cap of -k 64" in text
+    assert "neither cap is settable by a --cap-* flag or UMINFLOW_CAPS" in text
+
+
 def test_measure_cap_exit_3(capsys):
     code, _, err = run(capsys, "measure", "ord(0<1<2<3<4<5<6<7<8)")
     assert code == 3 and "cap" in err

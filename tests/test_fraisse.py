@@ -261,6 +261,13 @@ def test_back_and_forth_between_variants():
                 assert v1.less(a, b) == v2.less(iso(a), iso(b))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_back_and_forth_empty_depth(n):
+    # range(n) is empty, so the empty map already covers it on both sides
+    v1, v2 = rational_presentation(), rational_presentation_variant()
+    assert back_and_forth(v1, v2, n).pairs == ()
+
+
 def test_back_and_forth_composition():
     v1, v2 = rational_presentation(), rational_presentation_variant()
     f = back_and_forth(v1, v2, 60)

@@ -51,6 +51,19 @@ def test_parse_errors(bad):
         parse_event(bad)
 
 
+def test_parse_nesting_cap():
+    # 200 enclosing "!" and "(" parse, print back and evaluate; one more is
+    # refused where it starts, before the parser recurses into it
+    at_cap = "!(" * 100 + "ord(0<1) & ord(2<1)" + ")" * 100
+    e = parse_event(at_cap)
+    assert parse_event(print_event(e)) == e
+    assert evaluate(e, OrderPrefix.from_sequence([0, 2, 1])) is True
+    refused = r"nested deeper than 200 \(at position 200\)"
+    for deeper in ("!(" * 100 + "!ord(0<1)" + ")" * 100, "(" * 201 + "ord(0<1)" + ")" * 201):
+        with pytest.raises(ParseError, match=refused):
+            parse_event(deeper)
+
+
 def test_print_round_trip_random():
     rng = random.Random(1)
     for _ in range(200):

@@ -15,6 +15,7 @@ from uminflow import (
     poset_extension_test,
     poset_level_measure,
     rational_presentation,
+    rational_presentation_variant,
     stage_automorphisms,
     universal_poset_stage,
     verify_certificate,
@@ -32,6 +33,12 @@ def test_certificate_invariant_small():
         cert = _cert(seed, 40)
         assert cert.sigma.domain() >= set(range(40))
         assert verify_certificate(cert, TAU, RandomOrderStream(seed))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_certificate_empty_depth(n):
+    cert = compute_randomizer(TAU, RandomOrderStream(0), n)
+    assert cert.sigma.pairs == () and cert.n == n
 
 
 def test_own_presentation_certificate():
@@ -95,12 +102,67 @@ def test_verify_rejects_uncovered_depth():
     assert not verify_certificate(short, TAU, stream)
 
 
+def _pairwise_verify(c, tau, xi):
+    """Coverage, then the invariant over all n^2 / 2 pairs: the check
+    verify_certificate made before it sorted the pairs."""
+    depth = set(range(c.n))
+    if not (c.sigma.domain() >= depth and c.sigma.range() >= depth):
+        return False
+    items = c.sigma.pairs
+    for i, (a, fa) in enumerate(items):
+        for b, fb in items[i + 1 :]:
+            if tau.less(a, b) != xi.less(fa, fb):
+                return False
+    return True
+
+
+def _corruptions(cert, rng):
+    """Certificates with two images swapped, one image replaced by a fresh
+    index, and the pairs shuffled."""
+    pairs = list(cert.sigma.pairs)
+    fresh_from = max(b for _, b in pairs) + 1
+    for _ in range(6):
+        i, j = rng.sample(range(len(pairs)), 2)
+        swapped = list(pairs)
+        swapped[i], swapped[j] = (pairs[i][0], pairs[j][1]), (pairs[j][0], pairs[i][1])
+        yield swapped
+    for i in rng.sample(range(len(pairs)), 6):
+        for fresh in range(fresh_from, fresh_from + 8):
+            yield pairs[:i] + [(pairs[i][0], fresh)] + pairs[i + 1 :]
+    for _ in range(3):
+        yield rng.sample(pairs, len(pairs))
+
+
+@pytest.mark.parametrize("source", ["rational-v1", "rational-v2", "stream"])
+def test_verify_agrees_with_pairwise_check(source):
+    rng = random.Random(source)
+    outcomes = set()
+    for seed in range(3):
+        if source == "stream":
+            tau, depth = RandomOrderStream(seed).presentation(), 20
+        else:
+            tau = TAU if source == "rational-v1" else rational_presentation_variant()
+            depth = 30
+        cert = compute_randomizer(tau, RandomOrderStream(seed), depth)
+        for pairs in [list(cert.sigma.pairs), *_corruptions(cert, rng)]:
+            bad = RandomizerCertificate(
+                PartialPermutation(tuple(pairs)), cert.tau_id, seed, depth
+            )
+            expected = _pairwise_verify(bad, tau, RandomOrderStream(seed))
+            assert verify_certificate(bad, tau, RandomOrderStream(seed)) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("seed, blocking", [(5, 140), (28, 126)])
 def test_budget_refusal_names_the_point(seed, blocking):
     with pytest.raises(SearchBudgetError) as err:
         _cert(seed, 150)
     assert err.value.blocking == blocking
     assert str(err.value) == f"no partner for {blocking} within budget"
+    assert err.value.budget == 65536
+    lo, hi = err.value.interval  # stream keys; None at an open end
+    assert (lo, hi) != (None, None) and (lo is None or hi is None or lo < hi)
 
 
 def test_verify_seed_mismatch():
