@@ -14,8 +14,9 @@ error; each caller supplies only a picker per side that chooses the image
 inside the neighbours' interval.  Each side's mapped keys are kept sorted,
 so one bisect finds both neighbours; the map is an order isomorphism at
 every step, so no taken point lies inside the interval, and the pickers
-keep no record of them.  ``back_and_forth`` picks the least compatible
-index from ``_scanner``, the per-call index of chunked candidate keys.
+keep no record of them.  ``back_and_forth`` sorts points by value, float
+first, and picks the least compatible index from ``_scanner``, whose chunks
+keep their indices sorted by key.  The rational picker works on int pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, count, product
-from math import gcd
+from math import gcd, inf
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -157,51 +158,67 @@ def rational_code(value: Fraction) -> int:
     return 2 * index + 1 if value > 0 else 2 * index + 2
 
 
-def _simplest_positive(lo: Fraction, hi: Fraction | None) -> Fraction:
-    """Smallest-complexity rational strictly inside (lo, hi), 0 <= lo."""
-    n = lo.numerator // lo.denominator + 1
-    if hi is None or n < hi:
-        return Fraction(n)
-    whole = lo.numerator // lo.denominator
-    frac_lo = lo - whole
-    inner_lo = 1 / (hi - whole)
-    inner_hi = None if frac_lo == 0 else 1 / frac_lo
-    return whole + 1 / _simplest_positive(inner_lo, inner_hi)
+def _simplest_positive(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Smallest-complexity rational strictly inside (a/b, c/d), 0 <= a/b,
+    as (numerator, denominator) in lowest terms; d = 0 leaves it open above."""
+    w = a // b
+    if (w + 1) * d < c:
+        return w + 1, 1
+    # w + 1/x with x inside (1/(c/d - w), 1/(a/b - w)): each pair stays in
+    # lowest terms, as gcd(d, c - w*d) = gcd(d, c)
+    p, q = _simplest_positive(d, c - w * d, b, a - w * b)
+    return w * p + q, p
+
+
+def _simplest_pair(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """simplest_between on (a/b, c/d) as int pairs; -1/0 and 1/0 are open ends."""
+    if a < 0 < c:
+        return 0, 1
+    if c <= 0:
+        p, q = _simplest_positive(-c, d, -a, b)
+        return -p, q
+    return _simplest_positive(a, b, c, d)
+
+
+def _ends(lo: Fraction | None, hi: Fraction | None) -> tuple[int, int, int, int]:
+    if lo is not None and hi is not None and not lo < hi:
+        raise ValueError(f"empty interval ({lo}, {hi})")
+    a, b = (-1, 0) if lo is None else (lo.numerator, lo.denominator)
+    c, d = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    return a, b, c, d
 
 
 def simplest_between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     """A low-complexity rational strictly inside the open interval."""
-    if lo is not None and hi is not None and not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
-    if (lo is None or lo < 0) and (hi is None or hi > 0):
-        return Fraction(0)
-    if hi is not None and hi <= 0:
-        mirrored = _simplest_positive(-hi, None if lo is None else -lo)
-        return -mirrored
-    return _simplest_positive(lo if lo is not None else Fraction(0), hi)
+    return Fraction(*_simplest_pair(*_ends(lo, hi)))
 
 
 def rational_near(
     lo: Fraction | None, hi: Fraction | None, target: Fraction
 ) -> Fraction:
     """A modest-complexity rational strictly inside the interval, close to
-    the target (within a sixteenth of the interval when it is bounded)."""
+    the target (within a sixteenth of the interval when it is bounded).
+    Cuts the interval at its simplest rational, on the target's side, until
+    that rational is within tolerance of it, all on int pairs; the tolerance
+    test is cross-multiplied against the original bounds."""
     if lo is None:
         lo = min(target, hi) - 1 if hi is not None else target - 1
     if hi is None:
         hi = max(target, lo) + 1
-    tolerance = (hi - lo) / 16
-    cur_lo, cur_hi = lo, hi
-    best = simplest_between(cur_lo, cur_hi)
+    a, b, c, d = x, y, z, w = _ends(lo, hi)
+    t, u = target.numerator, target.denominator
+    width, scale = c * b - a * d, 16 * b * d  # |p/q - t/u| <= width/scale
+    p, q = _simplest_pair(a, b, c, d)
     for _ in range(64):
-        if abs(best - target) <= tolerance:
+        off = p * u - t * q
+        if scale * abs(off) <= width * q * u:
             break
-        if best < target:
-            cur_lo = best
+        if off < 0:
+            x, y = p, q
         else:
-            cur_hi = best
-        best = simplest_between(cur_lo, cur_hi)
-    return best
+            z, w = p, q
+        p, q = _simplest_pair(x, y, z, w)
+    return Fraction(p, q)
 
 
 def _locate_rational(
@@ -572,7 +589,7 @@ def universal_poset_stage(N: int, *, cap: int = DEFAULT_POSET_CAP) -> PosetStage
     {0,...,M-1} equal those of stage M.
     """
     if N > cap:
-        raise CapExceededError(f"stage {N} exceeds poset cap {cap}")
+        raise CapExceededError(f"stage {N} exceeds poset cap {cap}", "poset", cap, N)
     _shared_builder.grow_to(N)
     stage = FinitePoset(N, _shared_builder.stage_pairs(N))
     canon = OrderPrefix.from_sequence(_shared_builder.canon_sequence(N))
@@ -584,7 +601,8 @@ def poset_canon_presentation(*, cap: int = DEFAULT_POSET_CAP) -> OrderPresentati
 
     def less(a: int, b: int) -> bool:
         if max(a, b) >= cap:
-            raise CapExceededError(f"element {max(a, b)} beyond poset cap {cap}")
+            message = f"element {max(a, b)} beyond poset cap {cap}"
+            raise CapExceededError(message, "poset", cap, max(a, b))
         return _shared_builder.canon_less(a, b)
 
     return OrderPresentation("poset-canon", less)
@@ -722,54 +740,72 @@ def _scanner(key, budget: int):
     Without a target, the least such index.  With one, the key nearest the
     target (the least index on equal distance) among the chunks up to the
     first to end with at least ``enough`` candidates in it and before it, or
-    the budget reached.  Keys are revealed in index order into one sorted
-    (key, index) block per chunk, so a block's candidates are one bisected
-    slice; a least-index scan reveals nothing past its answer.
+    the budget reached.  Keys are revealed in index order into one list, and
+    each chunk keeps its indices sorted by key, so a block's candidates are
+    one bisected slice; a least-index scan reveals nothing past its answer.
     """
     ends = sorted({min(e, budget) for e in _SCAN_CHUNKS} | {budget})
-    blocks: list[list[tuple]] = [[] for _ in ends]
-    revealed = 0
+    blocks: list[list[int]] = [[] for _ in ends]
+    keys: list = []  # keys[c] = key(c) for every revealed index c
+    by_key = keys.__getitem__
 
     def scan(lo, hi, target=None, enough: int = 1) -> int | None:
-        nonlocal revealed
-
         def inside(block) -> tuple[int, int]:
-            i = 0 if lo is None else bisect_right(block, lo, key=_first)
-            j = len(block) if hi is None else bisect_left(block, hi, key=_first)
+            i = 0 if lo is None else bisect_right(block, lo, key=by_key)
+            j = len(block) if hi is None else bisect_left(block, hi, key=by_key)
             return i, max(i, j)
 
         if target is None:
             for block in blocks:
                 i, j = inside(block)
                 if i < j:
-                    return min(c for _, c in block[i:j])
-            while revealed < budget:
-                c, k = revealed, key(revealed)
-                insort(blocks[bisect_right(ends, c)], (k, c), key=_first)
-                revealed += 1
+                    return min(block[i:j])
+            for c in range(len(keys), budget):
+                keys.append(k := key(c))
+                insort(blocks[bisect_right(ends, c)], c, key=by_key)
                 if (lo is None or lo < k) and (hi is None or k < hi):
                     return c
             return None
         best = None  # (distance, index)
         seen = 0
         for block, end in zip(blocks, ends):
-            if revealed < end:
-                block.extend((key(c), c) for c in range(revealed, end))
-                block.sort(key=_first)  # stable: equal keys stay in index order
-                revealed = end
+            if len(keys) < end:
+                fresh = range(len(keys), end)
+                keys.extend(map(key, fresh))
+                block.extend(fresh)
+                block.sort(key=by_key)  # stable: equal keys stay in index order
             i, j = inside(block)
             seen += j - i
-            at = bisect_left(block, target, i, j, key=_first)
+            at = bisect_left(block, target, i, j, key=by_key)
             for q in (at - 1, at):  # the nearest keys below and above the target
                 if i <= q < j:
-                    k, c = block[bisect_left(block, block[q][0], i, q, key=_first)]
-                    near = (abs(k - target), c)
+                    c = block[bisect_left(block, keys[block[q]], i, q, key=by_key)]
+                    near = (abs(keys[c] - target), c)
                     best = near if best is None else min(best, near)
             if best is not None and (seen >= enough or end >= budget):
                 return best[1]
         return None
 
     return scan
+
+
+def _sort_key(pres: OrderPresentation):
+    """Back-and-forth's sort key: the comparisons, or (float(v), v) for the
+    value v where given.  Correctly rounded float() is monotone, so the pairs
+    sort as the values do, and exact values are compared only when two
+    floats tie (past float range, at +-inf)."""
+    if pres.value_fn is None:
+        return cmp_to_key(pres.compare)
+    value_fn = pres.value_fn
+
+    def key(a: int) -> tuple:
+        v = value_fn(a)
+        try:
+            return float(v), v
+        except OverflowError:
+            return (inf if v > 0 else -inf), v
+
+    return key
 
 
 def _alternate(
@@ -805,8 +841,9 @@ def _alternate(
             lo = mapped[s][at - 1] if at else (None, None)
             hi = mapped[s][at] if at < len(mapped[s]) else (None, None)
             y = pick(kx, lo, hi)
-            if y is None:  # a comparator's sort key stands for its element
-                interval = tuple(getattr(k, "obj", k) for k in (lo[1], hi[1]))
+            if y is None:  # a sort key stands for its element or value
+                bounds = (k[1] if isinstance(k, tuple) else k for k in (lo[1], hi[1]))
+                interval = tuple(getattr(k, "obj", k) for k in bounds)
                 message = f"no partner for {x} within budget"
                 raise SearchBudgetError(message, x, budget, interval)
             ky, t = key_y(y), 1 - s
@@ -829,10 +866,10 @@ def back_and_forth(
     Alternates forth steps (map the least unmapped point to the least
     compatible image) with back steps.  Deterministic given the
     presentations; a witness search that exceeds the budget raises
-    SearchBudgetError naming the blocking point.
+    SearchBudgetError naming the blocking point.  Points are sorted by their
+    values, float first, where a presentation gives them (``_sort_key``).
     """
-    # sort keys: the values where given, else the comparisons themselves
-    key_a, key_b = (p.value_fn or cmp_to_key(p.compare) for p in (pres_a, pres_b))
+    key_a, key_b = _sort_key(pres_a), _sort_key(pres_b)
 
     def least_in(key):
         scan = _scanner(key, search_budget)

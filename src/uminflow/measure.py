@@ -45,7 +45,13 @@ PRECISION_CAP = 64
 
 
 class CapExceededError(RuntimeError):
-    """A computation was requested beyond its configured resource cap."""
+    """A computation was requested beyond its configured resource cap:
+    ``cap`` names it ("support", "union", "precision", "extension" or
+    "poset"), ``limit`` is its value and ``requested`` the value over it."""
+
+    def __init__(self, message: str, cap: str, limit: int, requested: int):
+        super().__init__(message)
+        self.cap, self.limit, self.requested = cap, limit, requested
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,8 @@ def mu_exact(e: EventExpr, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> Fractio
     s = len(sup)
     if s > support_cap:
         raise CapExceededError(
-            f"support size {s} exceeds enumeration cap {support_cap}"
+            f"support size {s} exceeds enumeration cap {support_cap}",
+            "support", support_cap, s,
         )
     pred = compile_event(e, {x: i for i, x in enumerate(sup)})
     return Fraction(sum(map(pred, permutations(range(s)))), factorial(s))
@@ -210,7 +217,8 @@ def _absorb(terms: list[_Conjunction], union_cap: int) -> list[_Conjunction]:
         if len(kept) > union_cap:
             raise CapExceededError(
                 f"union cap {union_cap} exceeded: {len(kept)} minimal conjunctions"
-                f" kept from a DNF of {len(terms)} conjunctions"
+                f" kept from a DNF of {len(terms)} conjunctions",
+                "union", union_cap, len(kept),
             )
     return kept
 
@@ -321,7 +329,8 @@ def mu_weight_recursive(
     if k < 0:
         raise ValueError(f"precision must be a natural number, got {k}")
     if k > PRECISION_CAP:
-        raise CapExceededError(f"precision 2^-{k} exceeds cap 2^-{PRECISION_CAP}")
+        message = f"precision 2^-{k} exceeds cap 2^-{PRECISION_CAP}"
+        raise CapExceededError(message, "precision", PRECISION_CAP, k)
     exact = mu_weight_exact(e, union_cap=union_cap)
     return DyadicApprox.from_fraction(exact, k)
 
@@ -369,7 +378,8 @@ def linear_extension_count(
 ) -> int:
     """Exact number of total orders on {0,...,n-1} extending the poset."""
     if p.n > cap:
-        raise CapExceededError(f"poset size {p.n} exceeds extension-count cap {cap}")
+        message = f"poset size {p.n} exceeds extension-count cap {cap}"
+        raise CapExceededError(message, "extension", cap, p.n)
     pred = [0] * p.n
     for a, b in p.relation:
         pred[b] |= 1 << a

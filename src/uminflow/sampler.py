@@ -11,11 +11,11 @@ sampled order lands in, read through a lazy rank view of the order.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from hashlib import sha256
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -46,7 +46,7 @@ class MLLevelUnavailable(RuntimeError):
 
 def _digest(tag: bytes, seed: int, n: int) -> bytes:
     material = tag + (seed % 2**64).to_bytes(8, "big") + n.to_bytes(8, "big")
-    return hashlib.sha256(material).digest()
+    return sha256(material).digest()
 
 
 class _RankView(Mapping):
@@ -100,14 +100,17 @@ class RandomOrderStream(_RankedOrderSource):
 
     def __init__(self, seed: int):
         self.seed = seed
+        self._prefix = sha256(b"uminflow-order" + (seed % 2**64).to_bytes(8, "big"))
         self._keys: dict[int, int] = {}
         self.tie_events: list[tuple[int, int]] = []
 
     def key(self, n: int) -> int:
+        """Element n's key: _digest(b"uminflow-order", seed, n) as an integer."""
         k = self._keys.get(n)
         if k is None:
-            k = int.from_bytes(_digest(b"uminflow-order", self.seed, n), "big")
-            self._keys[n] = k
+            h = self._prefix.copy()
+            h.update(n.to_bytes(8, "big"))
+            k = self._keys[n] = int.from_bytes(h.digest(), "big")
         return k
 
     def less(self, a: int, b: int) -> bool:

@@ -277,6 +277,25 @@ def test_back_and_forth_composition():
     assert all(comp(a) == a for a in comp.domain())
 
 
+@pytest.mark.parametrize(
+    "budget, blocking, interval",
+    [
+        (3, 1, (Fraction(1), None)),
+        (5, 3, (Fraction(1), Fraction(2))),
+        (20, 7, (Fraction(1), Fraction(3, 2))),
+    ],
+)
+def test_iso_refusal_interval_holds_values(budget, blocking, interval):
+    # recorded before iso sorted values float first: the refusal names the
+    # values themselves, not the (float, value) sort keys
+    v1, v2 = rational_presentation(), rational_presentation_variant()
+    with pytest.raises(SearchBudgetError) as err:
+        back_and_forth(v1, v2, 40, search_budget=budget)
+    assert err.value.blocking == blocking
+    assert err.value.interval == interval
+    assert all(v is None or type(v) is Fraction for v in err.value.interval)
+
+
 def test_back_and_forth_budget_violation_reports():
     naturals = OrderPresentation("naturals", lambda a, b: a < b)
     v1 = rational_presentation()

@@ -26,6 +26,7 @@ from uminflow import (
     mu_weight_exact,
     mu_weight_recursive,
     parse_event,
+    poset_canon_presentation,
     relabel_event,
     support,
     universal_poset_stage,
@@ -158,6 +159,33 @@ def test_linear_extension_cap():
     with pytest.raises(CapExceededError):
         linear_extension_count(FinitePoset.antichain(17))
     assert linear_extension_count(FinitePoset.chain(17), cap=17) == 1
+
+
+# one trigger per raise site, each with the message the CLI prints
+CAP_TRIGGERS = [
+    ("support", 8, 9, "support size 9 exceeds enumeration cap 8",
+     lambda: mu_exact(parse_event("ord(0<1<2<3<4<5<6<7<8)"))),
+    ("union", 2, 3, "union cap 2 exceeded: 3 minimal conjunctions kept from a DNF"
+     " of 3 conjunctions",
+     lambda: mu_weight_exact(parse_event("ord(0<1)|ord(2<3)|ord(4<5)"), union_cap=2)),
+    ("precision", 64, 65, "precision 2^-65 exceeds cap 2^-64",
+     lambda: mu_weight_recursive(parse_event("ord(0<1)"), 65)),
+    ("extension", 16, 17, "poset size 17 exceeds extension-count cap 16",
+     lambda: linear_extension_count(FinitePoset.antichain(17))),
+    ("poset", 64, 65, "stage 65 exceeds poset cap 64",
+     lambda: universal_poset_stage(65)),
+    ("poset", 4, 5, "element 5 beyond poset cap 4",
+     lambda: poset_canon_presentation(cap=4).less(0, 5)),
+]
+
+
+@pytest.mark.parametrize("cap, limit, requested, message, trigger", CAP_TRIGGERS)
+def test_cap_refusal_carries_its_numbers(cap, limit, requested, message, trigger):
+    with pytest.raises(CapExceededError) as err:
+        trigger()
+    got = err.value
+    assert (got.cap, got.limit, got.requested) == (cap, limit, requested)
+    assert str(got) == message
 
 
 def test_poset_validation():

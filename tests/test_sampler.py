@@ -34,7 +34,7 @@ from uminflow import (
     unbounded_test_family,
     universal_poset_stage,
 )
-from uminflow.sampler import code_pair
+from uminflow.sampler import _digest, code_pair
 
 
 # -- sampling
@@ -42,6 +42,17 @@ from uminflow.sampler import code_pair
 
 def test_single_point_prefix():
     assert sample_prefix(123, 1).to_sequence() == [0]
+
+
+@pytest.mark.parametrize("seed", [0, 5, -1, 2**64 + 5])
+def test_key_is_the_order_digest(seed):
+    stream = RandomOrderStream(seed)
+    for n in (0, 1, 2**63, 2**64 - 1):
+        expected = int.from_bytes(_digest(b"uminflow-order", seed, n), "big")
+        assert stream.key(n) == expected
+    for n in (2**64, -1):
+        with pytest.raises(OverflowError):
+            stream.key(n)
 
 
 def test_prefix_consistency_many_seeds():
