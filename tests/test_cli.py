@@ -119,6 +119,15 @@ def test_sample_deterministic(tmp_path, capsys):
     assert sorted(map(int, lines[1].split())) == list(range(12))
 
 
+def test_sample_json_counts_ties_of_equal_keys(capsys, monkeypatch):
+    from uminflow.sampler import RandomOrderStream
+
+    monkeypatch.setattr(RandomOrderStream, "key", lambda self, n: 7)
+    code, out, _ = run(capsys, "sample", "--seed", "3", "--n", "9", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["ties"] == 8 and data["order"] == list(range(9))
+
+
 def test_sample_graph_and_encode_round_trip(tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
     assert (
