@@ -133,11 +133,13 @@ def _cmd_sample(args) -> int:
     if args.kind == "order":
         prefix = stream.prefix(args.n)
         if args.format == "json":
+            order = prefix.to_sequence()
+            keys = [stream.key(x) for x in order]
             payload = {
                 "seed": args.seed,
                 "n": args.n,
-                "order": prefix.to_sequence(),
-                "ties": len(stream.tie_events),
+                "order": order,
+                "ties": sum(a == b for a, b in zip(keys, keys[1:])),
             }
             _emit(args, json.dumps(payload) + "\n")
         else:

@@ -351,7 +351,14 @@ def _demand_stream() -> Iterator[tuple]:
 
 
 class StageBuilder:
-    """Deterministic incremental construction of the poset and its extension."""
+    """Deterministic incremental construction of the poset and its extension.
+
+    Each step scans the demand stream from its start and realizes the first
+    live demand.  The scan classifies a demand (dead, met or live) only when
+    it reaches it with every element the demand names present; consistency
+    is static from then on, so classifying late changes nothing.
+    Single-owner mutable: each caller grows its own builder.
+    """
 
     def __init__(self):
         self.canon: list[int] = []
@@ -362,18 +369,15 @@ class StageBuilder:
         self._demands: list[tuple] = []
         self._status: list[int] = []
         self._needs: list[tuple[frozenset, frozenset, frozenset] | None] = []
-        self._pending: set[int] = set()
         self._live: set[int] = set()
-        self._lock = threading.RLock()
 
     @property
     def n(self) -> int:
         return len(self.canon)
 
     def grow_to(self, n: int):
-        with self._lock:
-            while self.n < n:
-                self._step()
+        while self.n < n:
+            self._step()
 
     # -- demand bookkeeping
 
@@ -393,7 +397,6 @@ class StageBuilder:
             self._demands.append(d)
             self._status.append(_PENDING)
             self._needs.append(None)
-            self._pending.add(len(self._demands) - 1)
 
     def _classify(self, idx: int):
         """Decide consistency once all referenced elements exist; static after."""
@@ -478,10 +481,6 @@ class StageBuilder:
 
     def _step(self):
         n = self.n
-        for idx in sorted(self._pending):
-            if self._needed(self._demands[idx]) <= n:
-                self._pending.discard(idx)
-                self._classify(idx)
         idx = 0
         while True:
             self._materialize(idx)
@@ -489,7 +488,6 @@ class StageBuilder:
             if status == _LIVE:
                 break
             if status == _PENDING and self._needed(self._demands[idx]) <= n:
-                self._pending.discard(idx)
                 self._classify(idx)
                 if self._status[idx] == _LIVE:
                     break
@@ -546,13 +544,14 @@ class StageBuilder:
 
     # -- snapshots
 
-    def stage_pairs(self, n: int) -> frozenset[tuple[int, int]]:
-        return frozenset(
+    def stage(self, n: int) -> PosetStage:
+        """Stage n, grown to if need be: the relation and extension on range(n)."""
+        self.grow_to(n)
+        pairs = frozenset(
             (a, b) for b in range(n) for a in self.down[b] if a != b and a < n
         )
-
-    def canon_sequence(self, n: int) -> list[int]:
-        return [e for e in self.canon if e < n]
+        canon = OrderPrefix.from_sequence([e for e in self.canon if e < n])
+        return PosetStage(FinitePoset(n, pairs), canon)
 
     def canon_less(self, a: int, b: int) -> bool:
         self.grow_to(max(a, b) + 1)
@@ -579,9 +578,6 @@ class PosetStage:
         }
 
 
-_shared_builder = StageBuilder()
-
-
 def universal_poset_stage(N: int, *, cap: int = DEFAULT_POSET_CAP) -> PosetStage:
     """Stage N of the deterministic generic construction.
 
@@ -590,20 +586,19 @@ def universal_poset_stage(N: int, *, cap: int = DEFAULT_POSET_CAP) -> PosetStage
     """
     if N > cap:
         raise CapExceededError(f"stage {N} exceeds poset cap {cap}", "poset", cap, N)
-    _shared_builder.grow_to(N)
-    stage = FinitePoset(N, _shared_builder.stage_pairs(N))
-    canon = OrderPrefix.from_sequence(_shared_builder.canon_sequence(N))
-    return PosetStage(stage, canon)
+    return StageBuilder().stage(N)
 
 
 def poset_canon_presentation(*, cap: int = DEFAULT_POSET_CAP) -> OrderPresentation:
-    """The linear extension of the universal poset as an order on all of N."""
+    """The linear extension of the universal poset as an order on all of N,
+    read from a stage builder that this presentation owns."""
+    builder = StageBuilder()
 
     def less(a: int, b: int) -> bool:
         if max(a, b) >= cap:
             message = f"element {max(a, b)} beyond poset cap {cap}"
             raise CapExceededError(message, "poset", cap, max(a, b))
-        return _shared_builder.canon_less(a, b)
+        return builder.canon_less(a, b)
 
     return OrderPresentation("poset-canon", less)
 
@@ -729,7 +724,6 @@ def check_density(
 
 
 _SCAN_CHUNKS = (1 << 10, 1 << 12, 1 << 14)
-_first = itemgetter(0)
 
 
 def _scanner(key, budget: int):
@@ -828,6 +822,7 @@ def _alternate(
     maps: tuple[dict[int, int], dict[int, int]] = ({}, {})
     mapped: tuple[list, list] = ([], [])  # per side: (key, partner's key), sorted
     least, covered = [0, 0], [0, 0]  # per side: least unmapped, mapped points < n
+    first = itemgetter(0)
     sides = ((0, key_a, key_b, pick_forth), (1, key_b, key_a, pick_back))
     while True:
         for s, key_x, key_y, pick in sides:
@@ -837,7 +832,7 @@ def _alternate(
                 least[s] += 1
             x = least[s]
             kx = key_x(x)
-            at = bisect_left(mapped[s], kx, key=_first)
+            at = bisect_left(mapped[s], kx, key=first)
             lo = mapped[s][at - 1] if at else (None, None)
             hi = mapped[s][at] if at < len(mapped[s]) else (None, None)
             y = pick(kx, lo, hi)
@@ -849,7 +844,7 @@ def _alternate(
             ky, t = key_y(y), 1 - s
             maps[s][x], maps[t][y] = y, x
             mapped[s].insert(at, (kx, ky))
-            insort(mapped[t], (ky, kx), key=_first)
+            insort(mapped[t], (ky, kx), key=first)
             covered[s] += x < n
             covered[t] += y < n
 

@@ -272,5 +272,5 @@ def poset_automorphism_obstruction(
         image = act(g, canon)
         if all(image.less(a, b) for a, b in rel):
             trapped += 1
-    measure = poset_level_measure(n, poset_cap=cap, extension_cap=extension_cap)
+    measure = poset_level_measure(stage, extension_cap=extension_cap)
     return ObstructionReport(n, total, trapped, measure)

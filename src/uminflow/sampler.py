@@ -19,7 +19,7 @@ from hashlib import sha256
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
-from .fraisse import DEFAULT_POSET_CAP, OrderPresentation, universal_poset_stage
+from .fraisse import DEFAULT_POSET_CAP, OrderPresentation, PosetStage, StageBuilder
 from .measure import (
     DEFAULT_EXTENSION_CAP,
     adjacency_clause,
@@ -90,6 +90,10 @@ class _RankedOrderSource:
         self._claim(N)
         return _RankView(N, self._rank)
 
+    def prefix(self, N: int) -> OrderPrefix:
+        self._claim(N)
+        return OrderPrefix.from_sequence(sorted(range(N), key=self._rank))
+
 
 class RandomOrderStream(_RankedOrderSource):
     """A lazily revealed random total order on N, determined by the seed.
@@ -102,7 +106,6 @@ class RandomOrderStream(_RankedOrderSource):
         self.seed = seed
         self._prefix = sha256(b"uminflow-order" + (seed % 2**64).to_bytes(8, "big"))
         self._keys: dict[int, int] = {}
-        self.tie_events: list[tuple[int, int]] = []
 
     def key(self, n: int) -> int:
         """Element n's key: _digest(b"uminflow-order", seed, n) as an integer."""
@@ -115,22 +118,11 @@ class RandomOrderStream(_RankedOrderSource):
 
     def less(self, a: int, b: int) -> bool:
         ka, kb = self.key(a), self.key(b)
-        if ka == kb and a != b:
-            # 2^-256 per pair; the key budget is exhausted, fall back to index
-            self.tie_events.append((min(a, b), max(a, b)))
-            return a < b
-        return ka < kb
+        # equal keys (2^-256 per pair) fall back to the index, as _rank does
+        return ka < kb or (ka == kb and a < b)
 
     def _rank(self, x: int) -> tuple[int, int]:
         return (self.key(x), x)
-
-    def prefix(self, N: int) -> OrderPrefix:
-        self._claim(N)
-        seq = sorted(range(N), key=self._rank)
-        for i in range(N - 1):
-            if self.key(seq[i]) == self.key(seq[i + 1]):
-                self.tie_events.append((min(seq[i], seq[i + 1]), max(seq[i], seq[i + 1])))
-        return OrderPrefix.from_sequence(seq)
 
     def presentation(self) -> OrderPresentation:
         return OrderPresentation(
@@ -152,10 +144,6 @@ class PresentationOrderSource(_RankedOrderSource):
     def __init__(self, pres: OrderPresentation):
         self.pres = pres
         self._rank = cmp_to_key(pres.compare)
-
-    def prefix(self, N: int) -> OrderPrefix:
-        self._claim(N)
-        return OrderPrefix.from_sequence(sorted(range(N), key=self._rank))
 
 
 def sample_bits(seed: int, count: int) -> str:
@@ -274,23 +262,16 @@ def unbounded_test_family(n: int) -> MLTestFamily:
 
 
 def poset_level_measure(
-    N: int,
-    *,
-    poset_cap: int = DEFAULT_POSET_CAP,
-    extension_cap: int = DEFAULT_EXTENSION_CAP,
+    stage: PosetStage, *, extension_cap: int = DEFAULT_EXTENSION_CAP
 ) -> Fraction:
-    """Exact measure of the event of extending stage N of the universal poset."""
-    stage = universal_poset_stage(N, cap=poset_cap)
-    return Fraction(
-        linear_extension_count(stage.stage, cap=extension_cap), factorial(N)
-    )
+    """Exact measure of the event of extending a stage of the universal poset."""
+    count = linear_extension_count(stage.stage, cap=extension_cap)
+    return Fraction(count, factorial(stage.stage.n))
 
 
-def poset_extension_test(
-    o: OrderPrefix, N: int, *, cap: int = DEFAULT_POSET_CAP
-) -> bool:
-    """Whether the prefix linearly extends stage N of the universal poset."""
-    stage = universal_poset_stage(N, cap=cap)
+def poset_extension_test(o: OrderPrefix, stage: PosetStage) -> bool:
+    """Whether the prefix linearly extends a stage of the universal poset."""
+    N = stage.stage.n
     if o.n < N:
         raise ValueError(f"prefix of size {o.n} cannot be tested against stage {N}")
     return all(o.less(a, b) for a, b in stage.stage.relation)
@@ -308,8 +289,10 @@ def poset_test_family(
     MLLevelUnavailable once the exact-counting cap or the sample cap is hit.
     Measures decrease with the stage, so every stage below the one a lower
     level j < k chose has measure above 2^-j > 2^-k: the search resumes
-    there, and each stage is counted once per family.
+    there, and each stage is counted once per family.  The family grows one
+    stage builder of its own, and the search range stops at the poset cap.
     """
+    builder = StageBuilder()
     measures: dict[int, Fraction] = {}  # stage N -> its extension measure
     chosen: dict[int, int] = {}  # level k -> its stage
 
@@ -317,13 +300,11 @@ def poset_test_family(
         bound = Fraction(1, 2**k)
         start = max((N for j, N in chosen.items() if j < k), default=1)
         for N in range(start, min(poset_cap, extension_cap, SAMPLE_SIZE_CAP) + 1):
+            stage = builder.stage(N)
             if N not in measures:
-                measures[N] = poset_level_measure(
-                    N, poset_cap=poset_cap, extension_cap=extension_cap
-                )
+                measures[N] = poset_level_measure(stage, extension_cap=extension_cap)
             if measures[N] <= bound:
                 chosen[k] = N
-                stage = universal_poset_stage(N, cap=poset_cap)
                 event = And(
                     tuple(
                         Atom(FiniteOrder((a, b)))

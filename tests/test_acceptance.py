@@ -36,6 +36,7 @@ from uminflow import (
     relabel_event,
     sample_prefix,
     support,
+    universal_poset_stage,
     verify_certificate,
 )
 from helpers import random_bijection, random_event
@@ -125,7 +126,8 @@ def test_criterion_06_rado_extension_property():
 
 def test_criterion_07_poset_extension_decay():
     t0 = time.perf_counter()
-    measures = {N: poset_level_measure(N) for N in range(3, 11)}
+    stages = {N: universal_poset_stage(N) for N in range(3, 11)}
+    measures = {N: poset_level_measure(stages[N]) for N in range(3, 11)}
     values = [measures[N] for N in range(3, 11)]
     assert all(a > b for a, b in zip(values, values[1:]))
     trials = 10_000
@@ -133,7 +135,7 @@ def test_criterion_07_poset_extension_decay():
         hits = sum(
             1
             for seed in range(trials)
-            if poset_extension_test(sample_prefix(seed, N), N)
+            if poset_extension_test(sample_prefix(seed, N), stages[N])
         )
         p = float(measures[N])
         se = sqrt(p * (1 - p) / trials)

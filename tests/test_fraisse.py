@@ -191,28 +191,41 @@ def test_stage_determinism():
     assert all(b1.down[i] == b2.down[i] for i in range(80))
 
 
-def test_stage_builder_concurrent_growth():
+def test_stage_builders_are_single_owner():
+    # each presentation grows a builder of its own, and concurrent stage
+    # calls share no builder, so they need no lock to agree
+    import sys
     import threading
 
-    builder = StageBuilder()
-    reference = StageBuilder()
-    reference.grow_to(60)
-    errors = []
+    def builder(pres) -> StageBuilder:
+        cells = (cell.cell_contents for cell in pres.less_fn.__closure__)
+        return next(c for c in cells if isinstance(c, StageBuilder))
 
-    def grow(n):
+    grown, idle = poset_canon_presentation(), poset_canon_presentation()
+    grown.less(20, 40)
+    assert (builder(grown).n, builder(idle).n) == (41, 0)
+
+    results, errors = [], []
+
+    def build():
         try:
-            builder.grow_to(n)
+            results.append(universal_poset_stage(60).to_json())
         except Exception as exc:  # noqa: BLE001 - surfaced via the main thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=grow, args=(n,)) for n in (60, 35, 50, 60)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert builder.canon == reference.canon
-    assert all(builder.down[i] == reference.down[i] for i in range(60))
+    assert results == [StageBuilder().stage(60).to_json()] * 4
 
 
 def test_one_point_extension_audit():

@@ -247,7 +247,7 @@ def test_obstruction_trivial_stage():
 def test_obstruction_stage_six():
     report = poset_automorphism_obstruction(6)
     assert report.all_trapped
-    assert report.event_measure == poset_level_measure(6)
+    assert report.event_measure == poset_level_measure(universal_poset_stage(6))
 
 
 def test_non_extending_orders_are_not_automorphism_images():
@@ -264,11 +264,11 @@ def test_non_extending_orders_are_not_automorphism_images():
         orbit.add(tuple(act(g, stage.canon).to_sequence()))
     for perm in permutations(range(4)):
         o = OrderPrefix.from_sequence(perm)
-        extends = poset_extension_test(o, 4)
+        extends = poset_extension_test(o, stage)
         if not extends:
             assert tuple(perm) not in orbit
         else:
             pass  # extending orders may or may not be in the orbit
     assert all(
-        poset_extension_test(OrderPrefix.from_sequence(seq), 4) for seq in orbit
+        poset_extension_test(OrderPrefix.from_sequence(seq), stage) for seq in orbit
     )

@@ -145,21 +145,22 @@ def test_unbounded_family_pass_rate():
 
 def test_poset_extension_test_canon():
     for N in (1, 4, 9, 14):
-        canon = universal_poset_stage(N).canon
-        assert poset_extension_test(canon, N)
+        stage = universal_poset_stage(N)
+        assert poset_extension_test(stage.canon, stage)
 
 
 def test_poset_level_measure_decreasing():
-    values = [poset_level_measure(N) for N in range(3, 11)]
+    values = [poset_level_measure(universal_poset_stage(N)) for N in range(3, 11)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_poset_extension_frequency():
     N = 6
-    exact = float(poset_level_measure(N))
+    stage = universal_poset_stage(N)
+    exact = float(poset_level_measure(stage))
     trials = 4000
     hits = sum(
-        1 for seed in range(trials) if poset_extension_test(sample_prefix(seed, N), N)
+        1 for seed in range(trials) if poset_extension_test(sample_prefix(seed, N), stage)
     )
     se = sqrt(exact * (1 - exact) / trials)
     assert abs(hits / trials - exact) <= 4 * se

@@ -63,5 +63,5 @@ def test_stage_block_digest(end):
 
 
 def test_level_measures():
-    got = {N: poset_level_measure(N) for N in LEVEL_MEASURES}
+    got = {N: poset_level_measure(universal_poset_stage(N)) for N in LEVEL_MEASURES}
     assert got == {N: Fraction(v) for N, v in LEVEL_MEASURES.items()}
