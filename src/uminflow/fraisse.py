@@ -108,8 +108,14 @@ def _positive_rationals() -> Iterator[Fraction]:
 
 
 def rational_value(n: int) -> Fraction:
-    """The fixed bijection N -> Q: 0, then each positive rational and its negative."""
+    """The fixed bijection N -> Q: 0, then each positive rational and its negative.
+
+    The cache only grows and its entries never change, so a cached code is
+    read without the lock; the lock is taken only to extend the cache.
+    """
     global _rational_positive
+    if n < len(_rational_values):
+        return _rational_values[n]
     with _rational_lock:
         if _rational_positive is None:
             _rational_positive = _positive_rationals()

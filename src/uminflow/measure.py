@@ -4,17 +4,23 @@ Every cylinder named by a k-element finite order has measure 1/k!, and events
 built from finitely many cylinders are local to their support.  Two
 independent computation paths are provided:
 
-- ``mu_exact``, the oracle, enumerates every order on the support.  The
-  event is compiled once into a predicate on rank tuples (see
-  ``orders.compile_event``) and counted over the permutations of
-  ``range(|support|)``.
+- ``mu_exact``, the oracle, counts the orders on the support that satisfy
+  the event, every one of them.  The count is bit-parallel: bit p of a
+  Python int stands for the p-th permutation of ``range(w)`` in
+  ``itertools.permutations`` order, so one int holds an event's members
+  among all w! orders and ``Not``, ``And`` and ``Or`` are one ``^``, ``&``
+  or ``|`` each.  The width w is at most ``BLOCK_WIDTH`` = 8; on a larger
+  support the leading ranks are fixed one assignment at a time and the
+  last 8 are counted in a block, so no mask is longer than 8! bits at any
+  support cap.
 - ``mu_weight_recursive`` rewrites the event as a union of signed cylinder
   conjunctions, keeps only the minimal ones, measures the union by
   inclusion-exclusion and each conjunction by peeling negated factors.  It
   agrees with the oracle and rounds to a requested dyadic precision only at
   the end.  The union cap is checked while the minimal conjunctions are
   collected, so an event past it is refused after at most union_cap + 1
-  subset tests per conjunction and before any inclusion-exclusion.
+  subset tests per conjunction and before any inclusion-exclusion.  A peel
+  whose positive cylinders form a cycle has measure 0 and is not measured.
 
 Positive conjunctions and posets are measured by counting linear extensions
 with a dynamic program over the downsets reachable from the empty set.
@@ -22,6 +28,7 @@ with a dynamic program over the downsets reachable from the empty set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -34,7 +41,6 @@ from .orders import (
     FiniteOrder,
     Not,
     Or,
-    compile_event,
     support,
 )
 
@@ -42,6 +48,8 @@ DEFAULT_SUPPORT_CAP = 8
 DEFAULT_EXTENSION_CAP = 16
 DEFAULT_UNION_CAP = 16
 PRECISION_CAP = 64
+# Rank positions counted bit-parallel by mu_exact: one mask holds 8! bits.
+BLOCK_WIDTH = 8
 
 
 class CapExceededError(RuntimeError):
@@ -141,7 +149,16 @@ def mu_exact(e: EventExpr, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> Fractio
 
     Valid because events in the cylinder algebra are determined by the
     restriction of an order to their support.  The support is relabelled onto
-    range(s) and every permutation of it is tested as a rank tuple.
+    range(s) and every rank tuple r (a permutation of range(s), r[i] the
+    position of the i-th support element) is counted once, 8! of them per
+    Python int: the leading s - 8 ranks run over
+    ``permutations(range(s), s - 8)``, and for each assignment the event's
+    mask over the orders of the last w = min(s, 8) ranks is built and its
+    bits counted.  An atom is the AND of its consecutive pair masks
+    r[a] < r[b]; a pair with a fixed rank x reads the mask "the free rank is
+    at least the number of free values below x".  The support cap is checked
+    before any mask is built, and memory stays at one block's tables, about
+    1 MB at w = 8.
     """
     sup = sorted(support(e))
     s = len(sup)
@@ -150,8 +167,102 @@ def mu_exact(e: EventExpr, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> Fractio
             f"support size {s} exceeds enumeration cap {support_cap}",
             "support", support_cap, s,
         )
-    pred = compile_event(e, {x: i for i, x in enumerate(sup)})
-    return Fraction(sum(map(pred, permutations(range(s)))), factorial(s))
+    index = {x: i for i, x in enumerate(sup)}
+    lead = max(s - BLOCK_WIDTH, 0)
+    w = s - lead
+    table = _position_masks(w)
+    full = (1 << factorial(w)) - 1
+    # at_least[c][k]: the orders whose free rank at position lead + c is >= k
+    at_least = []
+    for row in table:
+        suffix = [0] * (w + 1)
+        for v in range(w - 1, -1, -1):
+            suffix[v] = suffix[v + 1] | row[v]
+        at_least.append(suffix)
+    free_pairs: dict[tuple[int, int], int] = {}
+
+    def free_less(a: int, b: int) -> int:
+        m = free_pairs.get((a, b))
+        if m is None:
+            ra, gb = table[a], at_least[b]
+            m = 0
+            for v in range(w - 1):
+                m |= ra[v] & gb[v + 1]
+            free_pairs[a, b] = m
+        return m
+
+    count = 0
+    for head in permutations(range(s), lead):
+        free_values = sorted(set(range(s)).difference(head))
+        # below[i]: free values under the fixed rank head[i]
+        below = [bisect_left(free_values, x) for x in head]
+
+        def less(i: int, j: int) -> int:
+            if i < lead:
+                if j < lead:
+                    return full if head[i] < head[j] else 0
+                return at_least[j - lead][below[i]]
+            if j < lead:
+                return full ^ at_least[i - lead][below[j]]
+            return free_less(i - lead, j - lead)
+
+        count += _event_mask(e, index, less, full).bit_count()
+    return Fraction(count, factorial(s))
+
+
+def _position_masks(w: int) -> list[list[int]]:
+    """table[c][v]: bit p set iff the p-th permutation of range(w), in
+    ``itertools.permutations`` order, has the value v at position c.
+
+    Built up from w = 1 by the lexicographic block structure: the
+    permutations of range(n) form n blocks of (n-1)! each, block j has
+    position 0 equal to j, and its positions 1..n-1 run through the
+    permutations of range(n) without j in the same order as those of
+    range(n-1), value u standing for u + (u >= j).
+    """
+    table: list[list[int]] = []
+    for n in range(1, w + 1):
+        size = factorial(n - 1)
+        grown = [[((1 << size) - 1) << (j * size) for j in range(n)]]
+        for row in table:
+            masks = []
+            for v in range(n):
+                m = 0
+                for j in range(n):
+                    if j != v:
+                        m |= row[v if v < j else v - 1] << (j * size)
+                masks.append(m)
+            grown.append(masks)
+        table = grown
+    return table
+
+
+def _event_mask(e: EventExpr, index: dict[int, int], less, full: int) -> int:
+    """The orders of one block inside the event, as a mask; ``less(i, j)`` is
+    the mask of r[i] < r[j] for support indices i and j."""
+    if isinstance(e, Atom):
+        m = full
+        es = e.order.elements
+        for a, b in zip(es, es[1:]):
+            m &= less(index[a], index[b])
+        return m
+    if isinstance(e, Not):
+        return full ^ _event_mask(e.child, index, less, full)
+    if isinstance(e, And):
+        m = full
+        for c in e.children:
+            m &= _event_mask(c, index, less, full)
+            if not m:
+                break
+        return m
+    if isinstance(e, Or):
+        m = 0
+        for c in e.children:
+            m |= _event_mask(c, index, less, full)
+            if m == full:
+                break
+        return m
+    raise TypeError(f"not an event expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +282,16 @@ def _dnf(e: EventExpr, positive: bool) -> list[_Conjunction]:
     if (isinstance(e, And) and positive) or (isinstance(e, Or) and not positive):
         out: list[_Conjunction] = [frozenset()]
         for child in both:
-            branches = _dnf(child, positive)
-            merged = []
-            for acc in out:
-                for b in branches:
-                    t = acc | b
-                    if not _contradictory(t):
-                        merged.append(t)
-            out = _dedupe(merged)
+            # no term is contradictory, so a merge is contradictory exactly
+            # when the accumulated term holds the negation of a new literal
+            branches = [
+                (b, frozenset((order, not sign) for order, sign in b))
+                for b in _dnf(child, positive)
+            ]
+            out = _dedupe([
+                acc | b for acc in out for b, negations in branches
+                if acc.isdisjoint(negations)
+            ])
         return out
     out = []
     for child in both:
@@ -238,28 +351,49 @@ def _mu_conjunction(term: _Conjunction, memo: dict) -> Fraction:
         z = negated[0]
         rest = term - {z}
         with_z = rest | {(z[0], True)}
-        result = _mu_conjunction(rest, memo) - _mu_conjunction(with_z, memo)
+        result = _mu_conjunction(rest, memo)
+        if not _cyclic(_precedence(with_z)):  # else with_z has measure 0
+            result -= _mu_conjunction(with_z, memo)
     memo[term] = result
     return result
 
 
 def _mu_positive(term: _Conjunction) -> Fraction:
     """Exact measure of an intersection of cylinders via extension counting."""
+    pred = _precedence(term)
+    return Fraction(_count_extensions(len(pred), pred), factorial(len(pred)))
+
+
+def _precedence(term: _Conjunction) -> list[int]:
+    """pred[i]: the bitmask of the elements that the positive literals of the
+    conjunction place before the i-th smallest element they name."""
     elements: set[int] = set()
     pairs: set[tuple[int, int]] = set()
-    for order, _sign in term:
-        es = order.elements
-        elements.update(es)
-        pairs.update(zip(es, es[1:]))  # consecutive pairs imply the rest
-    if not elements:
-        return Fraction(1)
+    for order, sign in term:
+        if sign:
+            es = order.elements
+            elements.update(es)
+            pairs.update(zip(es, es[1:]))  # consecutive pairs imply the rest
     index = {e: i for i, e in enumerate(sorted(elements))}
-    m = len(index)
-    pred = [0] * m
+    pred = [0] * len(index)
     for a, b in pairs:
         pred[index[b]] |= 1 << index[a]
-    count = _count_extensions(m, pred)
-    return Fraction(count, factorial(m))
+    return pred
+
+
+def _cyclic(pred: list[int]) -> bool:
+    """Whether the precedence has a cycle, so that no order extends it: the
+    elements placeable after the placed ones stop growing before all are."""
+    placed, full = 0, (1 << len(pred)) - 1
+    while placed != full:
+        ready = placed
+        for i, p in enumerate(pred):
+            if p & ~placed == 0:
+                ready |= 1 << i
+        if ready == placed:
+            return True
+        placed = ready
+    return False
 
 
 def _count_extensions(n: int, pred: list[int]) -> int:

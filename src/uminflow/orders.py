@@ -9,7 +9,7 @@ value and every operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 
 class ParseError(ValueError):
@@ -200,8 +200,9 @@ class PartialPermutation:
 #
 # A factor may sit inside at most MAX_EVENT_NESTING "!" and "(": the parser
 # refuses deeper text before it recurses, so that parsing (three frames a
-# level), printing, compiling, evaluating and the DNF rewrite (one frame a
-# level each) stay inside Python's default recursion limit of 1000.
+# level), printing, evaluating, the order-mask walk of ``mu_exact`` and the
+# DNF rewrite (one frame a level each) stay inside Python's default recursion
+# limit of 1000.
 
 MAX_EVENT_NESTING = 200
 
@@ -378,64 +379,6 @@ def _evaluate(e: EventExpr, rank) -> bool:
         return all(_evaluate(c, rank) for c in e.children)
     if isinstance(e, Or):
         return any(_evaluate(c, rank) for c in e.children)
-    raise TypeError(f"not an event expression: {e!r}")
-
-
-RankPredicate = Callable[[Sequence[int]], bool]
-
-
-def compile_event(e: EventExpr, index: Mapping[int, int]) -> RankPredicate:
-    """Membership of an order given as a rank tuple, compiled once per event.
-
-    The returned predicate reads the position of element x at
-    ``r[index[x]]``; ``index`` must cover support(e).  Calling it walks
-    nested closures with the tree's dispatch and atom lookups already done,
-    so it pays off when one event is tested against many orders.
-    """
-    try:
-        return _compile(e, index)
-    except KeyError:
-        missing = sorted(x for x in support(e) if x not in index)
-        raise ValueError(f"index does not cover support elements {missing}") from None
-
-
-def _compile(e: EventExpr, index: Mapping[int, int]) -> RankPredicate:
-    if isinstance(e, Atom):
-        p = [index[x] for x in e.order.elements]
-        if len(p) < 2:
-            return lambda r: True
-        if len(p) == 2:
-            a, b = p
-            return lambda r: r[a] < r[b]
-        if len(p) == 3:
-            a, b, c = p
-            return lambda r: r[a] < r[b] < r[c]
-        steps = list(zip(p, p[1:]))
-        return lambda r: all(r[a] < r[b] for a, b in steps)
-    if isinstance(e, Not):
-        f = _compile(e.child, index)
-        return lambda r: not f(r)
-    if isinstance(e, (And, Or)):
-        fs = [_compile(c, index) for c in e.children]
-        # a loop over the children, not nested pairs: a wide node must not
-        # turn into deep recursion when the predicate runs
-        if isinstance(e, And):
-
-            def conj(r) -> bool:
-                for f in fs:
-                    if not f(r):
-                        return False
-                return True
-
-            return conj
-
-        def disj(r) -> bool:
-            for f in fs:
-                if f(r):
-                    return True
-            return False
-
-        return disj
     raise TypeError(f"not an event expression: {e!r}")
 
 

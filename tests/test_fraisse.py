@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from uminflow import (
     rational_value,
     universal_poset_stage,
 )
+from uminflow import fraisse
 from uminflow.fraisse import StageBuilder, rational_code, simplest_between
 
 
@@ -54,6 +56,19 @@ def test_rational_enumeration_prefix():
         Fraction(1, 3),
         Fraction(-1, 3),
     ]
+
+
+def test_rational_value_reads_cached_codes_without_the_lock():
+    expected = rational_value(40)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(rational_value(40)))
+    with fraisse._rational_lock:
+        reader.start()
+        reader.join(timeout=5)
+        blocked = reader.is_alive()
+    reader.join(timeout=5)
+    assert not blocked
+    assert got == [expected]
 
 
 def test_rational_code_inverts_value():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -17,7 +18,6 @@ from uminflow import (
     Or,
     PartialPermutation,
     adjacency_event,
-    compile_event,
     evaluate,
     linear_extension_count,
     mu_adjacency,
@@ -31,7 +31,8 @@ from uminflow import (
     support,
     universal_poset_stage,
 )
-from uminflow.measure import _count_extensions, _dnf
+from uminflow import measure
+from uminflow.measure import _count_extensions, _dnf, _position_masks
 from helpers import random_bijection, random_event
 
 
@@ -260,41 +261,116 @@ def test_weight_path_degenerate_atoms():
 
 
 # ---------------------------------------------------------------------------
-# The compiled enumeration against the evaluate reference
+# The bit-parallel enumeration against the evaluate reference
 
 
-_atoms = st.lists(st.integers(0, 5), max_size=4, unique=True).map(
-    lambda es: Atom(FiniteOrder(tuple(es)))
-)
-_events = st.recursive(
-    _atoms,
-    lambda children: st.one_of(
-        children.map(Not),
-        st.lists(children, min_size=1, max_size=3).map(lambda cs: And(tuple(cs))),
-        st.lists(children, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs))),
-    ),
-    max_leaves=5,
-)
+def _brute_force(e) -> Fraction:
+    """Satisfying orders on the support, one evaluate call per permutation."""
+    sup = sorted(support(e))
+    count = sum(
+        evaluate(e, dict(zip(sup, rank))) for rank in permutations(range(len(sup)))
+    )
+    return Fraction(count, factorial(len(sup)))
+
+
+def _event_strategy(points: int):
+    """Events whose atoms name at most 4 of range(points)."""
+    atoms = st.lists(st.integers(0, points - 1), max_size=4, unique=True).map(
+        lambda es: Atom(FiniteOrder(tuple(es)))
+    )
+    return st.recursive(
+        atoms,
+        lambda children: st.one_of(
+            children.map(Not),
+            st.lists(children, min_size=1, max_size=3).map(lambda cs: And(tuple(cs))),
+            st.lists(children, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs))),
+        ),
+        max_leaves=5,
+    )
+
+
+_events = _event_strategy(6)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_events)
 def test_compiled_event_matches_evaluate(e):
-    sup = sorted(support(e))
-    index = {x: i for i, x in enumerate(sup)}
-    pred = compile_event(e, index)
-    count = 0
-    for rank in permutations(range(len(sup))):
-        member = evaluate(e, {x: rank[index[x]] for x in sup})
-        assert pred(rank) == member
-        count += member
-    assert mu_exact(e) == Fraction(count, factorial(len(sup)))
+    assert mu_exact(e) == _brute_force(e)
     assert mu_weight_exact(e) == mu_exact(e)
 
 
-def test_compile_event_uncovered_support():
-    with pytest.raises(ValueError, match=r"\[2\]"):
-        compile_event(parse_event("ord(0<1) | ord(1<2)"), {0: 0, 1: 1})
+@pytest.mark.parametrize("w", range(7))
+def test_position_masks_match_permutation_order(w):
+    table = _position_masks(w)
+    assert len(table) == w
+    for c in range(w):
+        for v in range(w):
+            expected = sum(
+                1 << p for p, perm in enumerate(permutations(range(w))) if perm[c] == v
+            )
+            assert table[c][v] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_event_strategy(7))
+def test_mu_exact_matches_brute_force_on_seven_points(e):
+    assert mu_exact(e) == _brute_force(e)
+
+
+@pytest.mark.parametrize("s", [9, 10])
+def test_mu_exact_across_blocks(s):
+    # past BLOCK_WIDTH the leading s - 8 ranks are fixed one assignment at a
+    # time: pairs of fixed, of free and of mixed ranks all occur
+    assert mu_exact(adjacency_event(0, 1, s), support_cap=s) == Fraction(2, s)
+    assert mu_exact(adjacency_event(s - 1, 3, s), support_cap=s) == Fraction(2, s)
+    for k in (2, 5, s):
+        points = random.Random(k).sample(range(s), k)
+        # one-point atoms widen the support to range(s) and constrain nothing
+        padded = And(
+            (Atom(FiniteOrder(tuple(points))),)
+            + tuple(Atom(FiniteOrder((x,))) for x in range(s))
+        )
+        assert mu_exact(padded, support_cap=s) == Fraction(1, factorial(k))
+    tree = parse_event(
+        "(ord(0<4<8) | !ord(7<1)) & (ord(5<0) | ord(2<3<6)) & !(ord(8<2) & ord(6<5))"
+        + (" & (ord(9<0) | ord(4<9<1<0))" if s == 10 else "")
+    )
+    assert support(tree) == frozenset(range(s))
+    assert mu_exact(tree, support_cap=s) == mu_weight_exact(tree)
+    if s == 9:
+        assert mu_exact(tree, support_cap=s) == _brute_force(tree)
+
+
+def test_mu_exact_small_supports_and_extremes():
+    assert mu_exact(Atom(FiniteOrder(()))) == 1
+    assert mu_exact(Not(Atom(FiniteOrder(())))) == 0
+    assert mu_exact(Atom(FiniteOrder((3,)))) == 1
+    assert mu_exact(Or((Not(Atom(FiniteOrder((3,)))), Atom(FiniteOrder((3,)))))) == 1
+    assert mu_exact(And((Not(Atom(FiniteOrder((3,)))), Atom(FiniteOrder((3,)))))) == 0
+    cyclic = parse_event("ord(0<1<2<3<4<5<6<7) & ord(7<0)")
+    assert mu_exact(cyclic) == 0
+    tautology = parse_event("ord(0<1<2<3<4<5<6<7) | !ord(0<1<2<3<4<5<6<7)")
+    assert mu_exact(tautology) == 1
+
+
+def test_mu_exact_memory_stays_at_one_block():
+    event = adjacency_event(2, 7, 10)
+    tracemalloc.start()
+    try:
+        assert mu_exact(event, support_cap=10) == Fraction(2, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_mu_exact_refuses_before_building_masks(monkeypatch):
+    def no_masks(w):
+        raise AssertionError("a mask table was built past the cap")
+
+    monkeypatch.setattr(measure, "_position_masks", no_masks)
+    with pytest.raises(CapExceededError):
+        mu_exact(adjacency_event(0, 1, 11), support_cap=10)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +412,7 @@ def test_union_cap_refuses_wide_and_of_or():
     ]
     e = parse_event(" & ".join(clauses))
     raw = len(_dnf(e, positive=True))
-    assert raw > 16
+    assert raw == len(_reference_dnf(e, True)) == 1296
     with pytest.raises(CapExceededError) as info:
         mu_weight_exact(e)
     assert str(info.value) == (
@@ -344,3 +420,69 @@ def test_union_cap_refuses_wide_and_of_or():
         " conjunctions"
     )
     assert mu_exact(e) > 0
+
+
+
+# ---------------------------------------------------------------------------
+# The pruned peel recursion and the DNF rewrite
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_peel_skips_cyclic_branches(N, monkeypatch):
+    calls = []
+    count = measure._count_extensions
+
+    def counted(n, pred):
+        calls.append(n)
+        return count(n, pred)
+
+    monkeypatch.setattr(measure, "_count_extensions", counted)
+    assert mu_weight_exact(adjacency_event(0, 1, N)) == Fraction(2, N)
+    # 2(N - 2) negated literals; a peel making both n<j<m and m<j'<n positive
+    # is cyclic, so only subsets of one orientation's N - 2 atoms are counted
+    assert len(calls) <= 2 ** (N - 1)
+
+
+def _reference_dnf(e, positive):
+    """The DNF rewrite as it was before merges tested only the new literals."""
+    if isinstance(e, Atom):
+        return [frozenset([(e.order, positive)])]
+    if isinstance(e, Not):
+        return _reference_dnf(e.child, not positive)
+    both = e.children
+    if (isinstance(e, And) and positive) or (isinstance(e, Or) and not positive):
+        out = [frozenset()]
+        for child in both:
+            branches = _reference_dnf(child, positive)
+            merged = []
+            for acc in out:
+                for b in branches:
+                    t = acc | b
+                    if not _reference_contradictory(t):
+                        merged.append(t)
+            out = _reference_dedupe(merged)
+        return out
+    out = []
+    for child in both:
+        out.extend(_reference_dnf(child, positive))
+    return _reference_dedupe(out)
+
+
+def _reference_contradictory(term):
+    return any((order, not sign) in term for order, sign in term)
+
+
+def _reference_dedupe(terms):
+    seen = set()
+    out = []
+    for t in terms:
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_event_strategy(5), st.booleans())
+def test_dnf_matches_reference_rewrite(e, positive):
+    assert _dnf(e, positive) == _reference_dnf(e, positive)
