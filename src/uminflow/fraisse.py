@@ -359,8 +359,8 @@ def _demand_stream() -> Iterator[tuple]:
 class StageBuilder:
     """Deterministic incremental construction of the poset and its extension.
 
-    Each step scans the demand stream from its start and realizes the first
-    live demand.  The scan classifies a demand (dead, met or live) only when
+    Each step scans the demand stream from its first undecided demand (met
+    and dead demands stay so) and realizes the first live demand.  The scan classifies a demand (dead, met or live) only when
     it reaches it with every element the demand names present; consistency
     is static from then on, so classifying late changes nothing.
     Single-owner mutable: each caller grows its own builder.
@@ -376,6 +376,7 @@ class StageBuilder:
         self._status: list[int] = []
         self._needs: list[tuple[frozenset, frozenset, frozenset] | None] = []
         self._live: set[int] = set()
+        self._undecided = 0  # every demand before it is met or dead for good
 
     @property
     def n(self) -> int:
@@ -487,7 +488,7 @@ class StageBuilder:
 
     def _step(self):
         n = self.n
-        idx = 0
+        idx = self._undecided
         while True:
             self._materialize(idx)
             status = self._status[idx]
@@ -497,6 +498,8 @@ class StageBuilder:
                 self._classify(idx)
                 if self._status[idx] == _LIVE:
                     break
+            if idx == self._undecided and self._status[idx] in (_DEAD, _MET):
+                self._undecided += 1
             idx += 1
         self._realize(idx)
 

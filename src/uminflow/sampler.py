@@ -4,9 +4,11 @@ Each element of N gets an independent 256-bit key derived from the seed; the
 sampled order is the order of the keys.  Key order is exchangeable, so every
 k-element cylinder has frequency 1/k!, which pins the sampled law down as the
 unique invariant one.  Test families package shrinking event sequences whose
-exact measures come from the measure module; each family builds a level once
-and grows the next one in place.  A verdict reports the deepest level a
-sampled order lands in, read through a lazy rank view of the order.
+exact measures come from the measure module.  A level is an Or of And-prefixes
+of part lists its family owns, and part i is made from its index the first
+time it is read, so deciding a level builds only the parts its short-circuit
+evaluation reads.  A verdict reports the deepest level a sampled order lands
+in, read through a lazy rank view of the order.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from hashlib import sha256
 from math import factorial
 from typing import Callable, Iterable, Sequence
@@ -161,11 +163,34 @@ def sample_bits(seed: int, count: int) -> str:
 # Test families
 
 
-@dataclass(frozen=True)
+class _Parts:
+    """A family's part list: part i is made from its index on first read.
+
+    Reads come in index order from 0 (an evaluation stops early, a built
+    event reads a whole prefix), so the list only ever grows at its end.
+    """
+
+    def __init__(self, make: Callable[[int], EventExpr]):
+        self._make = make
+        self.built: list[EventExpr] = []
+
+    def __getitem__(self, i: int) -> EventExpr:
+        built = self.built
+        while len(built) <= i:
+            built.append(self._make(len(built)))
+        return built[i]
+
+
+@dataclass(frozen=True, eq=False)
 class TestLevel:
-    """One level of a shrinking family: an event, its exact measure, and its
-    window, the size of the initial segment range(window) that holds the
-    event's support.
+    """One level of a shrinking family: its exact measure, its window (the
+    size of the initial segment range(window) that holds the event's
+    support), and its event, the Or of the And-prefixes in ``prefixes``.
+
+    ``prefixes`` holds (parts, length) pairs whose parts are made on first
+    read, so a level costs nothing until it is decided; run_ml_tests reads
+    the parts one at a time.  ``event`` builds the whole expression on first
+    access (a single prefix is its bare And).
 
     A family raises MLLevelUnavailable for a level whose window exceeds the
     sample cap SAMPLE_SIZE_CAP, before it builds any of the level, and
@@ -173,9 +198,17 @@ class TestLevel:
     """
 
     k: int
-    event: EventExpr
     exact_measure: Fraction
     window: int
+    prefixes: tuple[tuple[_Parts, int], ...]
+
+    @cached_property
+    def event(self) -> EventExpr:
+        ands = tuple(
+            And(tuple(parts[i] for i in range(length)))
+            for parts, length in self.prefixes
+        )
+        return ands[0] if len(ands) == 1 else Or(ands)
 
 
 def _check_window(k: int, window: int):
@@ -207,27 +240,28 @@ def density_test_family(n_pair: tuple[int, int]) -> MLTestFamily:
 
     Level k uses window size N(k) = 2^(k+1) * max(2, n+1, m+1), so the exact
     measure 2/N(k) is at most 2^-k.  Its event is adjacency_event(n, m, N(k)),
-    whose clauses extend those of every smaller window, so the family keeps
-    one clause list and appends only the clauses a new window adds.
+    the And of the first N(k) - 2 parts of one clause list: part i is
+    adjacency_clause(n, m, j) for the i-th j outside {n, m}, made the first
+    time a level reads it.
     """
     n, m = n_pair
     if n == m:
         raise ValueError("the two points must differ")
     if n < 0 or m < 0:
         raise ValueError(f"points must be non-negative, got ({n}, {m})")
-    clauses: list[EventExpr] = []  # one per j < covered, j not in {n, m}
-    covered = 0
+    lo, hi = sorted(n_pair)
+
+    def clause(i: int) -> EventExpr:
+        j = i + (i >= lo)
+        return adjacency_clause(n, m, j + (j >= hi))
+
+    clauses = _Parts(clause)
 
     def level(k: int) -> TestLevel:
-        nonlocal covered
         N = 2 ** (k + 1) * max(2, n + 1, m + 1)
         measure = mu_adjacency(n, m, N)
         _check_window(k, N)
-        clauses.extend(
-            adjacency_clause(n, m, j) for j in range(covered, N) if j != n and j != m
-        )
-        covered = max(covered, N)
-        return TestLevel(k, And(tuple(clauses[: N - 2])), measure, N)
+        return TestLevel(k, measure, N, ((clauses, N - 2),))
 
     return MLTestFamily(f"density({n},{m})", level)
 
@@ -237,26 +271,19 @@ def unbounded_test_family(n: int) -> MLTestFamily:
 
     Being minimal and being maximal in a window of w points each have
     measure 1/w and cannot happen together, so the level measure is exactly
-    2/(N(k)+1) <= 2^-k for N(k) = max(2^(k+1)-1, n+1).  The atoms of each
-    window extend those of every smaller one and are built once.
+    2/(N(k)+1) <= 2^-k for N(k) = max(2^(k+1)-1, n+1).  Its event is the Or
+    of the first N(k) parts of two atom lists, ``n<j`` and ``j<n`` for the
+    i-th j other than n, each atom made the first time a level reads it.
     """
     if n < 0:
         raise ValueError(f"the point must be non-negative, got {n}")
-    below: list[EventExpr] = []  # n < j, for each j < covered other than n
-    above: list[EventExpr] = []  # j < n, likewise
-    covered = 0
+    below = _Parts(lambda i: Atom(FiniteOrder((n, i + (i >= n)))))
+    above = _Parts(lambda i: Atom(FiniteOrder((i + (i >= n), n))))
 
     def level(k: int) -> TestLevel:
-        nonlocal covered
         N = max(2 ** (k + 1) - 1, n + 1)
         _check_window(k, N + 1)
-        for j in range(covered, N + 1):
-            if j != n:
-                below.append(Atom(FiniteOrder((n, j))))
-                above.append(Atom(FiniteOrder((j, n))))
-        covered = max(covered, N + 1)
-        is_min, is_max = And(tuple(below[:N])), And(tuple(above[:N]))
-        return TestLevel(k, Or((is_min, is_max)), Fraction(2, N + 1), N + 1)
+        return TestLevel(k, Fraction(2, N + 1), N + 1, ((below, N), (above, N)))
 
     return MLTestFamily(f"unbounded({n})", level)
 
@@ -291,10 +318,13 @@ def poset_test_family(
     level j < k chose has measure above 2^-j > 2^-k: the search resumes
     there, and each stage is counted once per family.  The family grows one
     stage builder of its own, and the search range stops at the poset cap.
+    A level's event is the And of its stage's relation atoms in sorted order,
+    one part list per stage, each atom made the first time a level reads it.
     """
     builder = StageBuilder()
     measures: dict[int, Fraction] = {}  # stage N -> its extension measure
     chosen: dict[int, int] = {}  # level k -> its stage
+    relations: dict[int, tuple[_Parts, int]] = {}  # stage N -> its atoms
 
     def level(k: int) -> TestLevel:
         bound = Fraction(1, 2**k)
@@ -305,13 +335,11 @@ def poset_test_family(
                 measures[N] = poset_level_measure(stage, extension_cap=extension_cap)
             if measures[N] <= bound:
                 chosen[k] = N
-                event = And(
-                    tuple(
-                        Atom(FiniteOrder((a, b)))
-                        for a, b in sorted(stage.stage.relation)
-                    )
-                )
-                return TestLevel(k, event, measures[N], N)
+                if N not in relations:
+                    pairs = sorted(stage.stage.relation)
+                    atoms = _Parts(lambda i, pairs=pairs: Atom(FiniteOrder(pairs[i])))
+                    relations[N] = (atoms, len(pairs))
+                return TestLevel(k, measures[N], N, (relations[N],))
         raise MLLevelUnavailable(
             f"no stage within cap has extension measure below 2^-{k}"
         )
@@ -352,10 +380,12 @@ def run_ml_tests(
 ) -> list[FamilyVerdict]:
     """Evaluate membership of the stream in each family level up to depth.
 
-    Each level is evaluated on ``stream.order(lvl.window)``, a lazy view of
-    the order on the level's window: only the keys of the elements the
-    short-circuiting evaluation actually compares are ever derived, and no
-    prefix is sorted.  The verdict names the greatest failed level, or
+    Each level is decided on ``stream.order(lvl.window)``, a lazy view of
+    the order on the level's window, by evaluating its parts one at a time
+    and stopping where the Or of And-prefixes would stop: the answer is
+    ``evaluate(lvl.event, ...)``, but only the parts read are ever made and
+    only the keys of the elements they compare are derived; no prefix is
+    sorted.  The verdict names the greatest failed level, or
     reports a pass to the depth actually reached; a level the family cannot
     provide (over a cap) ends the run with "level budget exhausted at k", a
     verdict, not an error.
@@ -372,7 +402,11 @@ def run_ml_tests(
             except MLLevelUnavailable:
                 exhausted_at = k
                 break
-            member = evaluate(lvl.event, stream.order(lvl.window))
+            order = stream.order(lvl.window)
+            member = any(
+                all(evaluate(parts[i], order) for i in range(length))
+                for parts, length in lvl.prefixes
+            )
             levels.append(LevelResult(k, lvl.exact_measure, member))
         failed = [r.k for r in levels if r.member]
         if failed:

@@ -206,6 +206,23 @@ def test_stage_determinism():
     assert all(b1.down[i] == b2.down[i] for i in range(80))
 
 
+def test_step_skips_the_decided_demands(monkeypatch):
+    # a scan from demand 0 at every step made 1,595,974 _materialize calls
+    # here; starting at the first undecided demand visits each about once
+    calls = 0
+    materialize = StageBuilder._materialize
+
+    def counted(self, idx):
+        nonlocal calls
+        calls += 1
+        return materialize(self, idx)
+
+    monkeypatch.setattr(StageBuilder, "_materialize", counted)
+    b = StageBuilder()
+    b.grow_to(300)
+    assert calls < 2 * len(b._demands) < 1_595_974
+
+
 def test_stage_builders_are_single_owner():
     # each presentation grows a builder of its own, and concurrent stage
     # calls share no builder, so they need no lock to agree

@@ -13,6 +13,7 @@ from uminflow import (
     MLLevelUnavailable,
     Or,
     OrderPrefix,
+    OrderPresentation,
     PresentationOrderSource,
     RandomOrderStream,
     adjacency_event,
@@ -261,7 +262,10 @@ def test_unbounded_levels_equal_fresh_build(n, order):
 def test_poset_levels_equal_fresh_family(order):
     fam = poset_test_family()
     for k in order:
-        assert fam.level(k) == poset_test_family().level(k)
+        lvl, fresh = fam.level(k), poset_test_family().level(k)
+        assert (lvl.k, lvl.exact_measure, lvl.window, lvl.event) == (
+            fresh.k, fresh.exact_measure, fresh.window, fresh.event
+        )
 
 
 @pytest.mark.parametrize(
@@ -333,6 +337,31 @@ def test_level_over_sample_cap_is_unavailable_before_building(fam, k):
     with pytest.raises(MLLevelUnavailable, match="over the sample cap"):
         fam.level(k)
     assert time.perf_counter() - t0 < 0.5
+
+
+def _natural_order_source():
+    return PresentationOrderSource(OrderPresentation("naturals", lambda a, b: a < b))
+
+
+def test_member_at_every_level_reads_every_part():
+    # in the natural order 0 and 1 are adjacent and 0 is minimal, so every
+    # level is a member and deciding it reads each of its parts
+    density, unbounded = density_test_family((0, 1)), unbounded_test_family(0)
+    for depth in range(1, 11):
+        reports = run_ml_tests(_natural_order_source(), [density, unbounded], depth)
+        for report in reports:
+            assert report.verdict == f"fails level {depth}"
+            assert all(r.member for r in report.levels)
+        N = 2 ** (depth + 1) * 2
+        assert density.level(depth).event == adjacency_event(0, 1, N)
+        assert unbounded.level(depth).event == _unbounded_event(0, 2 ** (depth + 1) - 1)
+
+
+def test_deciding_deep_levels_builds_few_parts():
+    families = [density_test_family((0, 1)), unbounded_test_family(0)]
+    run_ml_tests(RandomOrderStream(0), families, 17)
+    for fam in families:
+        assert sum(len(parts.built) for parts, _ in fam.level(17).prefixes) < 100
 
 
 # -- codec
