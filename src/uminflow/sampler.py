@@ -375,6 +375,25 @@ class FamilyVerdict:
         }
 
 
+def _prefix_holds(parts: _Parts, length: int, order, known: dict) -> bool:
+    """Whether parts 0..length-1 all hold in the order, reading them in order
+    and stopping at the first that fails.
+
+    A part's truth depends only on the order, and the levels of a family
+    read prefixes of the same part lists, so ``known[parts]`` = (h, fails)
+    carries over between levels: parts 0..h-1 hold, and part h fails if
+    ``fails``.  Each part is evaluated at most once per stream.
+    """
+    held, fails = known.get(parts, (0, False))
+    while held < length and not fails:
+        if evaluate(parts[held], order):
+            held += 1
+        else:
+            fails = True
+    known[parts] = (held, fails)
+    return held >= length
+
+
 def run_ml_tests(
     stream, families: Iterable[MLTestFamily], depth: int
 ) -> list[FamilyVerdict]:
@@ -383,9 +402,10 @@ def run_ml_tests(
     Each level is decided on ``stream.order(lvl.window)``, a lazy view of
     the order on the level's window, by evaluating its parts one at a time
     and stopping where the Or of And-prefixes would stop: the answer is
-    ``evaluate(lvl.event, ...)``, but only the parts read are ever made and
-    only the keys of the elements they compare are derived; no prefix is
-    sorted.  The verdict names the greatest failed level, or
+    ``evaluate(lvl.event, ...)``, but only the parts read are ever made,
+    none is evaluated twice for one stream (see _prefix_holds), and only the
+    keys of the elements they compare are derived; no prefix is sorted.
+    The verdict names the greatest failed level, or
     reports a pass to the depth actually reached; a level the family cannot
     provide (over a cap) ends the run with "level budget exhausted at k", a
     verdict, not an error.
@@ -393,6 +413,7 @@ def run_ml_tests(
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
     out = []
+    known: dict[_Parts, tuple[int, bool]] = {}
     for family in families:
         levels: list[LevelResult] = []
         exhausted_at: int | None = None
@@ -404,7 +425,7 @@ def run_ml_tests(
                 break
             order = stream.order(lvl.window)
             member = any(
-                all(evaluate(parts[i], order) for i in range(length))
+                _prefix_holds(parts, length, order, known)
                 for parts, length in lvl.prefixes
             )
             levels.append(LevelResult(k, lvl.exact_measure, member))
