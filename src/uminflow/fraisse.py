@@ -360,9 +360,10 @@ class StageBuilder:
     """Deterministic incremental construction of the poset and its extension.
 
     Each step scans the demand stream from its first undecided demand (met
-    and dead demands stay so) and realizes the first live demand.  The scan classifies a demand (dead, met or live) only when
-    it reaches it with every element the demand names present; consistency
-    is static from then on, so classifying late changes nothing.
+    and dead demands stay so) and realizes the first live demand.  The scan
+    classifies a demand (dead, met or live) only when it reaches it with
+    every element the demand names present; consistency is static from then
+    on, so classifying late changes nothing.
     Single-owner mutable: each caller grows its own builder.
     """
 

@@ -166,8 +166,9 @@ def sample_bits(seed: int, count: int) -> str:
 class _Parts:
     """A family's part list: part i is made from its index on first read.
 
-    Reads come in index order from 0 (an evaluation stops early, a built
-    event reads a whole prefix), so the list only ever grows at its end.
+    Reading part i makes any missing part below it too.  Reads come in index
+    order from 0 (an evaluation stops at the first part that fails, a built
+    event reads a whole prefix), so that makes no part a read does not need.
     """
 
     def __init__(self, make: Callable[[int], EventExpr]):
@@ -405,10 +406,10 @@ def run_ml_tests(
     ``evaluate(lvl.event, ...)``, but only the parts read are ever made,
     none is evaluated twice for one stream (see _prefix_holds), and only the
     keys of the elements they compare are derived; no prefix is sorted.
-    The verdict names the greatest failed level, or
-    reports a pass to the depth actually reached; a level the family cannot
-    provide (over a cap) ends the run with "level budget exhausted at k", a
-    verdict, not an error.
+    The verdict names the greatest failed level, or reports a pass to the
+    depth actually reached; a level the family cannot provide (over a cap)
+    ends the run with "level budget exhausted at k", a verdict, not an
+    error.
     """
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
