@@ -282,20 +282,14 @@ def _cmd_encode(args) -> int:
 # Argument wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="uminflow",
-        description="exact order-event measures, sampling, and randomness tests",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p):
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--cap-support", type=int, default=DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap-poset", type=int, default=DEFAULT_POSET_CAP)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--cap-support", type=int, default=DEFAULT_SUPPORT_CAP)
-        p.add_argument("--cap-poset", type=int, default=DEFAULT_POSET_CAP)
 
-    p = sub.add_parser("measure", help="measure of an event expression")
+def _add_measure(p):
     p.add_argument("expr")
     p.add_argument(
         "--method",
@@ -307,17 +301,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "neither cap is settable by a --cap-* flag or UMINFLOW_CAPS",
     )
     p.add_argument("-k", "--precision", type=int, default=20)
-    common(p)
+    _add_common(p)
     p.set_defaults(fn=_cmd_measure)
 
-    p = sub.add_parser("sample", help="sample an order prefix or a graph")
+
+def _add_sample(p):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("order", "graph"), default="order")
-    common(p)
+    _add_common(p)
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("test", help="run test families against sampled streams")
+
+def _add_test(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", default=None, help="range START:END, end exclusive")
     p.add_argument(
@@ -329,41 +325,87 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--pair", default="0,1", help="pair for the density family")
     p.add_argument("--point", type=int, default=0, help="point for the unbounded family")
-    common(p)
+    _add_common(p)
     p.set_defaults(fn=_cmd_test)
 
-    p = sub.add_parser("iso", help="back-and-forth isomorphism between presentations")
+
+def _add_iso(p):
     p.add_argument("--a", default="rational-v1")
     p.add_argument("--b", default="rational-v2")
     p.add_argument("--depth", type=int, default=50)
-    common(p)
+    _add_common(p)
     p.set_defaults(fn=_cmd_iso)
 
-    p = sub.add_parser("randomizer", help="compute or verify randomizer certificates")
+
+def _add_randomizer(p):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tau", default="rational-v1")
     p.add_argument("--depth", type=int, default=100)
     p.add_argument("--verify", default=None, help="certificate JSON to verify")
-    common(p)
+    _add_common(p)
     p.set_defaults(fn=_cmd_randomizer)
 
-    p = sub.add_parser("encode", help="convert between bit files and graph files")
+
+def _add_encode(p):
     p.add_argument("input")
     p.add_argument(
         "--direction",
         choices=("bits-to-graph", "graph-to-bits"),
         default="bits-to-graph",
     )
-    common(p)
+    _add_common(p)
     p.set_defaults(fn=_cmd_encode)
 
+
+# (name, help, the function that adds its arguments), in the order of --help
+_COMMANDS = (
+    ("measure", "measure of an event expression", _add_measure),
+    ("sample", "sample an order prefix or a graph", _add_sample),
+    ("test", "run test families against sampled streams", _add_test),
+    ("iso", "back-and-forth isomorphism between presentations", _add_iso),
+    ("randomizer", "compute or verify randomizer certificates", _add_randomizer),
+    ("encode", "convert between bit files and graph files", _add_encode),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="uminflow",
+        description="exact order-event measures, sampling, and randomness tests",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add in _COMMANDS:
+        add(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, building only the named
+    subcommand's parser where that gives the same Namespace and output.
+
+    The subparser that ``add_parser`` makes is a plain ArgumentParser whose
+    prog is "uminflow NAME", and the full parser hands it every argument
+    after the name, so it prints the same help and the same errors.  Only
+    leftover arguments differ: the root parser reports those, with a usage
+    line that lists every command, so they go through the full parser, as
+    do -h, a missing command and an unknown one.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for name, _, add in _COMMANDS:
+        if argv[:1] == [name]:
+            parser = argparse.ArgumentParser(prog=f"uminflow {name}")
+            add(parser)
+            args, extras = parser.parse_known_args(
+                argv[1:], argparse.Namespace(command=name)
+            )
+            if not extras:
+                return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -52,16 +52,20 @@ def _digest(tag: bytes, seed: int, n: int) -> bytes:
 
 
 class _RankView(Mapping):
-    """Element x < n -> its sort key, derived only when read."""
+    """Element x < n -> its sort key, derived on its first read and kept."""
 
     def __init__(self, n: int, rank: Callable[[int], object]):
         self._n = n
         self._rank = rank
+        self._ranks: dict[int, object] = {}
 
     def __getitem__(self, x: int):
-        if 0 <= x < self._n:
-            return self._rank(x)
-        raise KeyError(x)
+        r = self._ranks.get(x)
+        if r is None:
+            if not 0 <= x < self._n:
+                raise KeyError(x)
+            r = self._ranks[x] = self._rank(x)
+        return r
 
     def __len__(self) -> int:
         return self._n
@@ -117,6 +121,17 @@ class RandomOrderStream(_RankedOrderSource):
             h.update(n.to_bytes(8, "big"))
             k = self._keys[n] = int.from_bytes(h.digest(), "big")
         return k
+
+    def keys(self, indices: Iterable[int]) -> list[int]:
+        """[key(n) for n in indices], derived in one pass and not kept: for a
+        caller that keeps the list itself."""
+        prefix = self._prefix
+        out = []
+        for n in indices:
+            h = prefix.copy()
+            h.update(n.to_bytes(8, "big"))
+            out.append(int.from_bytes(h.digest(), "big"))
+        return out
 
     def less(self, a: int, b: int) -> bool:
         ka, kb = self.key(a), self.key(b)
@@ -317,10 +332,11 @@ def poset_test_family(
     MLLevelUnavailable once the exact-counting cap or the sample cap is hit.
     Measures decrease with the stage, so every stage below the one a lower
     level j < k chose has measure above 2^-j > 2^-k: the search resumes
-    there, and each stage is counted once per family.  The family grows one
-    stage builder of its own, and the search range stops at the poset cap.
-    A level's event is the And of its stage's relation atoms in sorted order,
-    one part list per stage, each atom made the first time a level reads it.
+    there.  Asked in order, the levels snapshot and count each stage at most
+    once per family.  The family grows one stage builder of its own, and the
+    search range stops at the poset cap.  A level's event is the And of its
+    stage's relation atoms in sorted order, one part list per stage, each
+    atom made the first time a level reads it.
     """
     builder = StageBuilder()
     measures: dict[int, Fraction] = {}  # stage N -> its extension measure
@@ -331,13 +347,14 @@ def poset_test_family(
         bound = Fraction(1, 2**k)
         start = max((N for j, N in chosen.items() if j < k), default=1)
         for N in range(start, min(poset_cap, extension_cap, SAMPLE_SIZE_CAP) + 1):
-            stage = builder.stage(N)
+            stage = None
             if N not in measures:
+                stage = builder.stage(N)
                 measures[N] = poset_level_measure(stage, extension_cap=extension_cap)
             if measures[N] <= bound:
                 chosen[k] = N
                 if N not in relations:
-                    pairs = sorted(stage.stage.relation)
+                    pairs = sorted((stage or builder.stage(N)).stage.relation)
                     atoms = _Parts(lambda i, pairs=pairs: Atom(FiniteOrder(pairs[i])))
                     relations[N] = (atoms, len(pairs))
                 return TestLevel(k, measures[N], N, (relations[N],))

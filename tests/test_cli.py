@@ -1,7 +1,12 @@
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uminflow import cli
 from uminflow.cli import main
 
 
@@ -301,3 +306,113 @@ def test_randomizer_verify_malformed_exit_2(tmp_path, capsys, cert):
     )
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: certificate")
+
+
+# -- the subcommand parser against the full one
+
+
+def _captured(parse, argv):
+    """(Namespace or None, exit code or None, stdout, stderr) of one parse."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args, code = parse(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+# per command: valid arguments, a bad value, and a missing required argument
+# (an option without its value where the command requires none)
+COMMAND_ARGV = {
+    "measure": (["ord(0<1)"], ["--method", "fast", "ord(0<1)"], []),
+    "sample": (["--seed", "1", "--n", "3"], ["--seed", "one", "--n", "3"], ["--n", "3"]),
+    "test": ([], ["--depth", "deep"], ["--depth"]),
+    "iso": ([], ["--depth", "1.5"], ["--a"]),
+    "randomizer": (["--seed", "2"], ["--seed", "2", "--format", "xml"], []),
+    "encode": (["bits.txt"], ["bits.txt", "--direction", "up"], []),
+}
+PARSE_EXITS = [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "--seed", "1"], ["tes"],
+    *(
+        argv
+        for name, (valid, bad, missing) in COMMAND_ARGV.items()
+        for argv in (
+            [name, "--help"],
+            [name, *bad],
+            [name, *missing],
+            [name, *valid, "--bogus"],
+            [name, *valid, "stray"],
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+def test_main_prints_what_the_full_parser_prints(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    _, full_code, full_out, full_err = _captured(_full_parse, argv)
+    assert (code, out.getvalue(), err.getvalue()) == (full_code, full_out, full_err)
+    assert code in (0, 2)
+
+
+@pytest.mark.parametrize("name", COMMAND_ARGV)
+def test_unrecognized_arguments_show_every_command(name):
+    valid = COMMAND_ARGV[name][0]
+    _, code, out, err = _captured(cli._parse_args, [name, *valid, "--bogus"])
+    assert code == 2 and out == ""
+    assert err.startswith(
+        "usage: uminflow [-h] {measure,sample,test,iso,randomizer,encode} ...\n"
+    )
+    assert err.endswith("uminflow: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("name", COMMAND_ARGV)
+def test_valid_arguments_parse_to_the_full_parsers_namespace(name):
+    argv = [name, *COMMAND_ARGV[name][0]]
+    args = cli._parse_args(argv)
+    assert args == _full_parse(argv) and args.command == name
+
+
+_COMMON_OPTIONS = {"--format": ("json", "text"), "--out": ("out.json",),
+                   "--cap-poset": ("9",)}
+# per command: its options, each with values that parse
+_OPTION_VALUES = {
+    "test": {"--seed": ("0", "-3"), "--seeds": ("0:4",), "--depth": ("0", "9"),
+             "--stream": ("poset-canon",), "--families": ("poset",),
+             "--pair": ("0,2",), "--point": ("2",), **_COMMON_OPTIONS},
+    "iso": {"--a": ("rational-v2",), "--b": ("poset-canon",), "--depth": ("150",),
+            **_COMMON_OPTIONS},
+    "randomizer": {"--seed": ("7",), "--tau": ("rational-v2",), "--depth": ("5",),
+                   "--verify": ("cert.json",), **_COMMON_OPTIONS},
+}
+# abbreviations, an ambiguous prefix, another command's option, an unknown
+# one, help, a bare "--" and stray values
+_ODD_TOKENS = ["--dep", "--se", "--seed=4", "--tau", "--bogus", "-h", "--", "x", "1.5"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command among test, iso and randomizer, then mostly its own options
+    with values that parse, and up to two odd tokens among them."""
+    name = draw(st.sampled_from(sorted(_OPTION_VALUES)))
+    options = _OPTION_VALUES[name]
+    args = [
+        (option, draw(st.sampled_from(options[option])))
+        for option in draw(st.lists(st.sampled_from(sorted(options)), max_size=5))
+    ]
+    for token in draw(st.lists(st.sampled_from(_ODD_TOKENS), max_size=2)):
+        args.insert(draw(st.integers(0, len(args))), (token,))
+    return [name, *(token for arg in args for token in arg)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_random_tails_parse_as_through_the_full_parser(argv):
+    assert _captured(cli._parse_args, argv) == _captured(_full_parse, argv)

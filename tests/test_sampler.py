@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import sqrt
@@ -35,7 +36,9 @@ from uminflow import (
     unbounded_test_family,
     universal_poset_stage,
 )
-from uminflow.sampler import _digest, code_pair
+from uminflow.cli import main
+from uminflow.fraisse import StageBuilder
+from uminflow.sampler import _digest, _RankView, code_pair
 
 
 # -- sampling
@@ -318,6 +321,35 @@ def test_lazy_view_derives_only_compared_keys():
     run_ml_tests(stream, [fam], 9)
     assert stream.max_prefix_requested == fam.level(9).window == 2048
     assert len(stream._keys) < 100
+
+
+def test_rank_view_derives_each_rank_once():
+    derived = []
+    view = _RankView(5, lambda x: derived.append(x) or (-x, x))
+    assert [view[x] for x in (3, 1, 3, 3, 1, 0)] == [
+        (-3, 3), (-1, 1), (-3, 3), (-3, 3), (-1, 1), (0, 0)
+    ]
+    assert derived == [3, 1, 0]
+    for x in (5, -1):
+        with pytest.raises(KeyError):
+            view[x]
+
+
+def test_poset_family_snapshots_each_stage_once(monkeypatch, capsys):
+    snapshots = Counter()  # (builder, N) -> calls of builder.stage(N)
+    stage = StageBuilder.stage
+
+    def counted(builder, n):
+        snapshots[builder, n] += 1
+        return stage(builder, n)
+
+    monkeypatch.setattr(StageBuilder, "stage", counted)
+    for seed in (0, 1, 2):
+        argv = ["test", "--seed", str(seed), "--depth", "9", "--families", "poset"]
+        assert main(argv) == 0
+    assert "poset-extension" in capsys.readouterr().out
+    assert len({b for b, _ in snapshots}) == 3 and len(snapshots) > 3 * 5
+    assert max(snapshots.values()) == 1
 
 
 def test_stream_order_view_covers_its_window():
