@@ -736,7 +736,7 @@ def check_density(
 _SCAN_CHUNKS = (1 << 10, 1 << 12, 1 << 14)
 
 
-def _scanner(key, budget: int, batch=None):
+def _scanner(key, budget: int):
     """A per-call index over the candidate indices c < budget.
 
     ``scan(lo, hi, target=None, enough=1)`` returns an index c < budget with
@@ -747,11 +747,8 @@ def _scanner(key, budget: int, batch=None):
     the budget reached.  Keys are revealed in index order into one list, and
     each chunk keeps its indices sorted by key, so a block's candidates are
     one bisected slice; a least-index scan reveals nothing past its answer.
-    ``batch(indices)``, where given, is [key(c) for c in indices] in one
-    call, and reveals a whole chunk's keys.
     """
     ends = sorted({min(e, budget) for e in _SCAN_CHUNKS} | {budget})
-    reveal = batch or (lambda fresh: map(key, fresh))
     blocks: list[list[int]] = [[] for _ in ends]
     keys: list = []  # keys[c] = key(c) for every revealed index c
     by_key = keys.__getitem__
@@ -778,7 +775,7 @@ def _scanner(key, budget: int, batch=None):
         for block, end in zip(blocks, ends):
             if len(keys) < end:
                 fresh = range(len(keys), end)
-                keys.extend(reveal(fresh))
+                keys.extend(map(key, fresh))
                 block.extend(fresh)
                 block.sort(key=by_key)  # stable: equal keys stay in index order
             i, j = inside(block)

@@ -122,7 +122,7 @@ def compute_randomizer(
     """
     value = tau.value_fn if tau.value_fn is not None else _surrogate_values(tau)
 
-    scan_keys = _scanner(xi.key, search_budget, xi.keys)
+    scan_keys = _scanner(xi.key, search_budget)
     scan_codes = _scanner(value, search_budget)
 
     def forth(va, lo, hi):

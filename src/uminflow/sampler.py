@@ -52,20 +52,16 @@ def _digest(tag: bytes, seed: int, n: int) -> bytes:
 
 
 class _RankView(Mapping):
-    """Element x < n -> its sort key, derived on its first read and kept."""
+    """Element x < n -> its sort key, derived only when read."""
 
     def __init__(self, n: int, rank: Callable[[int], object]):
         self._n = n
         self._rank = rank
-        self._ranks: dict[int, object] = {}
 
     def __getitem__(self, x: int):
-        r = self._ranks.get(x)
-        if r is None:
-            if not 0 <= x < self._n:
-                raise KeyError(x)
-            r = self._ranks[x] = self._rank(x)
-        return r
+        if 0 <= x < self._n:
+            return self._rank(x)
+        raise KeyError(x)
 
     def __len__(self) -> int:
         return self._n
@@ -121,17 +117,6 @@ class RandomOrderStream(_RankedOrderSource):
             h.update(n.to_bytes(8, "big"))
             k = self._keys[n] = int.from_bytes(h.digest(), "big")
         return k
-
-    def keys(self, indices: Iterable[int]) -> list[int]:
-        """[key(n) for n in indices], derived in one pass and not kept: for a
-        caller that keeps the list itself."""
-        prefix = self._prefix
-        out = []
-        for n in indices:
-            h = prefix.copy()
-            h.update(n.to_bytes(8, "big"))
-            out.append(int.from_bytes(h.digest(), "big"))
-        return out
 
     def less(self, a: int, b: int) -> bool:
         ka, kb = self.key(a), self.key(b)

@@ -38,7 +38,7 @@ from uminflow import (
 )
 from uminflow.cli import main
 from uminflow.fraisse import StageBuilder
-from uminflow.sampler import _digest, _RankView, code_pair
+from uminflow.sampler import _digest, code_pair
 
 
 # -- sampling
@@ -321,18 +321,6 @@ def test_lazy_view_derives_only_compared_keys():
     run_ml_tests(stream, [fam], 9)
     assert stream.max_prefix_requested == fam.level(9).window == 2048
     assert len(stream._keys) < 100
-
-
-def test_rank_view_derives_each_rank_once():
-    derived = []
-    view = _RankView(5, lambda x: derived.append(x) or (-x, x))
-    assert [view[x] for x in (3, 1, 3, 3, 1, 0)] == [
-        (-3, 3), (-1, 1), (-3, 3), (-3, 3), (-1, 1), (0, 0)
-    ]
-    assert derived == [3, 1, 0]
-    for x in (5, -1):
-        with pytest.raises(KeyError):
-            view[x]
 
 
 def test_poset_family_snapshots_each_stage_once(monkeypatch, capsys):

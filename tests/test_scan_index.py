@@ -9,7 +9,6 @@ a sequence, and a least-index query must not reveal a key past its answer.
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,25 +77,20 @@ def scan_cases(draw):
         hi = draw(st.none() | st.just(None if lo is None else lo + width) | point)
         target = draw(st.none() | point)  # inside or outside (lo, hi)
         queries.append((lo, hi, target, draw(st.sampled_from([1, 3]))))
-    return budget, keys, queries, draw(st.booleans())
+    return budget, keys, queries
 
 
 @settings(max_examples=150, deadline=None)
 @given(scan_cases())
 def test_index_matches_reference_scan(case):
-    """Both reveals: key by key, and whole chunks through ``batch``."""
-    budget, keys, queries, batched = case
+    budget, keys, queries = case
     calls = []
 
     def key(c):
         calls.append(c)
         return keys[c]
 
-    def batch(indices):
-        calls.extend(indices)
-        return [keys[c] for c in indices]
-
-    scan = _scanner(key, budget, batch if batched else None)
+    scan = _scanner(key, budget)
     for lo, hi, target, enough in queries:
         # taken points: mapped ones never lie inside (lo, hi)
         taken = {
@@ -111,16 +105,6 @@ def test_index_matches_reference_scan(case):
         if target is None:
             last = budget - 1 if expected is None else expected
             assert all(c <= last for c in calls)
-
-
-@pytest.mark.parametrize("seed", [0, 5])
-def test_stream_keys_match_key_across_chunk_ends(seed):
-    stream, reference = RandomOrderStream(seed), RandomOrderStream(seed)
-    for end in _SCAN_CHUNKS:
-        for a, b in ((end - 3, end + 2), (end - 1, end), (end, end + 1), (0, end + 1)):
-            assert stream.keys(range(a, b)) == [reference.key(n) for n in range(a, b)]
-    assert stream.keys(range(7, 7)) == []
-    assert not stream._keys  # the caller keeps the list
 
 
 def test_nearest_counts_candidates_across_chunks():
