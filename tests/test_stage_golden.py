@@ -4,9 +4,10 @@ Each block digest is the SHA-256 of ``json.dumps`` of the list of
 ``[n, sorted relation pairs (as lists), canon sequence]`` for the twenty
 stages n of the block, each the restriction of the block's last stage to
 range(n) (stages are nested).  The block's first and last stages are also
-built directly.  They pin every stage up to 200 and the extension measures
-of stages 3-12: a change to the stage builder must leave all of them
-byte-identical.
+built directly.  They pin every stage up to 200, stages 381-400 (where the
+tail patterns over five or more points and the between demands dominate)
+and the extension measures of stages 3-12: a change to the stage builder
+must leave all of them byte-identical.
 """
 
 import hashlib
@@ -29,6 +30,7 @@ STAGE_DIGESTS = {
     160: "d7bbfb461518769ce951a65e9ed5a784dcc8d64c1d52fd56ca2c0b0b8779421f",
     180: "f7c07d822b05ffdc299ceff716fa50b15de6e1b75a6631df07ff6ecef7b3e618",
     200: "f1737656f42cda0add91d7752f4150e44f13429e5c982b2ea597d588ec5a76b6",
+    400: "bf98834da78d525eebd8286ab9b6761a44a28225a575b8d9ed2e1055ad2a8269",
 }
 LEVEL_MEASURES = {
     3: "1/6",
@@ -51,13 +53,13 @@ def _row(stage) -> list:
 
 @pytest.mark.parametrize("end", sorted(STAGE_DIGESTS))
 def test_stage_block_digest(end):
-    last = universal_poset_stage(end, cap=200)
+    last = universal_poset_stage(end, cap=end)
     rows = []
     for n in range(end - BLOCK + 1, end + 1):
         pairs = [list(p) for p in sorted(last.stage.relation) if max(p) < n]
         rows.append([n, pairs, [e for e in last.canon.to_sequence() if e < n]])
     assert rows[-1] == _row(last)
-    assert rows[0] == _row(universal_poset_stage(end - BLOCK + 1, cap=200))
+    assert rows[0] == _row(universal_poset_stage(end - BLOCK + 1, cap=end))
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == STAGE_DIGESTS[end]
 
