@@ -224,6 +224,8 @@ def _presentation(name: str, caps) -> OrderPresentation:
 
 
 def _cmd_iso(args) -> int:
+    if args.depth < 0:
+        raise ValueError(f"--depth must be non-negative, got {args.depth}")
     caps = _caps_from_env(args)
     pres_a = _presentation(args.a, caps)
     pres_b = _presentation(args.b, caps)
@@ -249,6 +251,8 @@ def _cmd_randomizer(args) -> int:
             raise VerificationFailure(f"certificate {args.verify} does not verify")
         _emit(args, json.dumps({"verified": True, "depth": cert.n}) + "\n")
         return EXIT_OK
+    if args.depth < 0:
+        raise ValueError(f"--depth must be non-negative, got {args.depth}")
     cert = compute_randomizer(tau, stream, args.depth)
     _emit(args, json.dumps(cert.to_json()) + "\n")
     return EXIT_OK

@@ -36,6 +36,7 @@ from .orders import OrderPrefix, PartialPermutation
 
 DEFAULT_POSET_CAP = 64
 DEFAULT_SEARCH_BUDGET = 1 << 16
+RATIONAL_CODE_CAP = 1 << 14  # the largest p + q that rational_code encodes
 
 
 class SearchBudgetError(RuntimeError):
@@ -151,11 +152,18 @@ def _extend_totients(s: int):
 
 
 def rational_code(value: Fraction) -> int:
-    """Inverse of rational_value: the code enumerating the given rational."""
+    """Inverse of rational_value: the code enumerating the given rational.
+
+    The code counts the reduced fractions whose p + q is smaller, by a sieve
+    up to p + q, so a value with p + q over RATIONAL_CODE_CAP is refused
+    before the sieve runs."""
     if value == 0:
         return 0
     p, q = abs(value.numerator), value.denominator
     s = p + q
+    if s > RATIONAL_CODE_CAP:
+        message = f"p + q = {s} exceeds rational code cap {RATIONAL_CODE_CAP}"
+        raise CapExceededError(message, "rational", RATIONAL_CODE_CAP, s)
     with _rational_lock:
         _extend_totients(s)
         base = _totient_cumulative[s]
@@ -295,24 +303,26 @@ def _valid_witness(z: int, A: set[int], B: set[int]) -> bool:
 #
 # Points are added one at a time.  A fixed dovetailed stream of demands is
 # scanned in order, and each new point realizes the first demand that is
-# consistent with the current stage and not yet witnessed.  Demand kinds:
+# consistent with the current stage and not yet witnessed.  Once every
+# element a demand names exists, it becomes one of two needs:
 #
-#   genesis            the first point
-#   just_above e       a point directly above e in the linear extension,
-#                      above exactly e's lower set in the poset
-#   just_below e       the dual
-#   pattern s, p       a point with prescribed relation (below/above/
-#                      incomparable) to every element of {0..s-1}
-#   between u, v       a point strictly between u and v in the linear
-#                      extension, incomparable to everything
+#   relational (s, D, U, I)   a point outside {0..s-1} above exactly D, below
+#                             exactly U and incomparable to I, the rest of
+#                             {0..s-1}.  "pattern s, p" reads D and U from p
+#                             (1 below the point, 2 above it); "genesis", the
+#                             first point, has s = 0; "just_above e", a point
+#                             directly above e in the linear extension, has
+#                             s = e+1 and D = e's lower set; "just_below e" is
+#                             the dual
+#   positional (u, v)         "between u, v": a point strictly between u and
+#                             v in the linear extension, incomparable to
+#                             everything
 #
 # Full pattern pools are emitted for domains up to 4 elements so that every
 # one-point extension demand over {0,...,3} is eventually realized; the
 # interval demands are delayed so that each of the first ten points carries
 # at least one strict relation, and an infinite tail of larger patterns keeps
 # the construction fair.
-
-_PENDING, _LIVE, _DEAD, _MET = 0, 1, 2, 3
 
 _FULL_PATTERN_ROUNDS = 4
 _BETWEEN_DELAY = 11
@@ -359,12 +369,14 @@ def _demand_stream() -> Iterator[tuple]:
 class StageBuilder:
     """Deterministic incremental construction of the poset and its extension.
 
-    Each step scans the demand stream from its first undecided demand (met
-    and dead demands stay so) and realizes the first live demand.  The scan
-    classifies a demand (dead, met or live) only when it reaches it with
-    every element the demand names present; consistency is static from then
-    on, so classifying late changes nothing.
-    Single-owner mutable: each caller grows its own builder.
+    Each step scans the demand stream from its first undecided demand and
+    realizes the first live need.  The scan classifies a demand only when it
+    reaches it with every element the demand names present: the demand
+    becomes its relational or positional need, or False if that need is
+    inconsistent with the stage (dead) or already witnessed (met).
+    Consistency is static from then on, so classifying late changes nothing,
+    and dead and met demands stay so.  Only the classification reads the
+    demand's kind.  Single-owner mutable: each caller grows its own builder.
     """
 
     def __init__(self):
@@ -374,8 +386,7 @@ class StageBuilder:
         self.up: list[set[int]] = []
         self._stream = _demand_stream()
         self._demands: list[tuple] = []
-        self._status: list[int] = []
-        self._needs: list[tuple[frozenset, frozenset, frozenset] | None] = []
+        self._needs: list = []  # None: unclassified; False: dead or met; the live need
         self._live: set[int] = set()
         self._undecided = 0  # every demand before it is met or dead for good
 
@@ -389,148 +400,85 @@ class StageBuilder:
 
     # -- demand bookkeeping
 
-    def _needed(self, d: tuple) -> int:
-        kind = d[0]
-        if kind == "genesis":
-            return 0
-        if kind in ("just_above", "just_below"):
-            return d[1] + 1
-        if kind == "pattern":
-            return d[1]
-        return max(d[1], d[2]) + 1  # between
-
     def _materialize(self, idx: int):
         while len(self._demands) <= idx:
-            d = next(self._stream)
-            self._demands.append(d)
-            self._status.append(_PENDING)
+            self._demands.append(next(self._stream))
             self._needs.append(None)
 
     def _classify(self, idx: int):
-        """Decide consistency once all referenced elements exist; static after."""
-        d = self._demands[idx]
-        kind = d[0]
-        if kind == "genesis":
-            self._needs[idx] = (frozenset(), frozenset(), frozenset())
-            self._set_live(idx)
-            return
-        if kind == "just_above":
-            e = d[1]
-            below = frozenset(self.down[e]) & frozenset(range(e + 1))
-            incomp = frozenset(range(e + 1)) - below
-            self._needs[idx] = (below, frozenset(), incomp)
-            self._set_live(idx)
-            return
-        if kind == "just_below":
-            e = d[1]
-            above = frozenset(self.up[e]) & frozenset(range(e + 1))
-            incomp = frozenset(range(e + 1)) - above
-            self._needs[idx] = (frozenset(), above, incomp)
-            self._set_live(idx)
-            return
-        if kind == "pattern":
-            s, p = d[1], d[2]
-            D = frozenset(i for i in range(s) if p[i] == 1)
-            U = frozenset(i for i in range(s) if p[i] == 2)
-            I = frozenset(i for i in range(s) if p[i] == 0)
-            down_all: set[int] = set()
-            for x in D:
-                down_all |= self.down[x]
-            up_all: set[int] = set()
-            for x in U:
-                up_all |= self.up[x]
-            consistent = (
-                down_all & set(range(s)) == set(D)
-                and up_all & set(range(s)) == set(U)
-                and all(u in self.up[a] for a in D for u in U)
-            )
-            if not consistent:
-                self._status[idx] = _DEAD
-                return
-            self._needs[idx] = (D, U, I)
-            self._set_live(idx)
-            return
-        # between
-        u, v = d[1], d[2]
-        if self.pos[u] >= self.pos[v]:
-            self._status[idx] = _DEAD
-            return
-        self._needs[idx] = (frozenset(), frozenset(), frozenset())
-        self._set_live(idx)
-
-    def _set_live(self, idx: int):
-        self._status[idx] = _LIVE
-        self._live.add(idx)
-        for x in range(self.n):
-            if self._witnesses(idx, x):
-                self._status[idx] = _MET
-                self._live.discard(idx)
-                return
-
-    def _witnesses(self, idx: int, x: int) -> bool:
-        d = self._demands[idx]
-        kind = d[0]
-        if kind == "genesis":
-            return True
+        """Set the demand's need, or False if it is dead or met; a no-op
+        until every element the demand names exists."""
+        kind, *args = self._demands[idx]
         if kind == "between":
-            return self.pos[d[1]] < self.pos[x] < self.pos[d[2]]
-        s = d[1] + 1 if kind in ("just_above", "just_below") else d[1]
-        if x < s:
+            u, v = args
+            if max(u, v) >= self.n:
+                return
+            need = (u, v) if self.pos[u] < self.pos[v] else False
+        else:
+            if kind == "pattern":
+                s = args[0]
+            else:  # genesis; just_above e and just_below e
+                s = args[0] + 1 if args else 0
+            if s > self.n:
+                return
+            R = frozenset(range(s))
+            if kind == "pattern":
+                D = frozenset(i for i in R if args[1][i] == 1)
+                U = frozenset(i for i in R if args[1][i] == 2)
+            else:
+                D = R & self.down[args[0]] if kind == "just_above" else frozenset()
+                U = R & self.up[args[0]] if kind == "just_below" else frozenset()
+            below, above = self._spans(D, U)
+            consistent = (
+                below & R == D
+                and above & R == U
+                and all(U <= self.up[a] for a in D)
+            )
+            need = (s, D, U, R - D - U) if consistent else False
+        if need and any(self._witnesses(need, x) for x in range(self.n)):
+            need = False
+        if need:
+            self._live.add(idx)
+        self._needs[idx] = need
+
+    def _spans(self, D: frozenset, U: frozenset) -> tuple[set[int], set[int]]:
+        """What lies below some element of D, and above some element of U."""
+        below = set().union(*(self.down[a] for a in D))
+        return below, set().union(*(self.up[u] for u in U))
+
+    def _witnesses(self, need: tuple, x: int) -> bool:
+        if len(need) == 2:  # positional
+            u, v = need
+            return self.pos[u] < self.pos[x] < self.pos[v]
+        s, D, U, I = need
+        down, up = self.down[x], self.up[x]
+        if x < s or not (D <= down and U <= up):
             return False
-        below, above, incomp = self._needs[idx]
-        down_x, up_x = self.down[x], self.up[x]
-        return (
-            all(i in down_x for i in below)
-            and all(i in up_x for i in above)
-            and all(i not in down_x and i not in up_x for i in incomp)
-        )
+        return I.isdisjoint(down) and I.isdisjoint(up)
 
     # -- construction steps
 
     def _step(self):
-        n = self.n
         idx = self._undecided
         while True:
             self._materialize(idx)
-            status = self._status[idx]
-            if status == _LIVE:
-                break
-            if status == _PENDING and self._needed(self._demands[idx]) <= n:
+            if self._needs[idx] is None:
                 self._classify(idx)
-                if self._status[idx] == _LIVE:
-                    break
-            if idx == self._undecided and self._status[idx] in (_DEAD, _MET):
+            need = self._needs[idx]
+            if need:
+                break
+            if need is False and idx == self._undecided:
                 self._undecided += 1
             idx += 1
         self._realize(idx)
 
     def _realize(self, idx: int):
-        d = self._demands[idx]
-        kind = d[0]
-        x = self.n
-        if kind == "genesis":
-            below: set[int] = set()
-            above: set[int] = set()
-            gap = 0
-        elif kind == "between":
+        need, x = self._needs[idx], self.n
+        if len(need) == 2:  # positional: just above u, related to nothing
             below, above = set(), set()
-            gap = self.pos[d[1]] + 1
-        elif kind == "just_above":
-            below = set(self.down[d[1]])
-            above = set()
-            gap = max(self.pos[y] for y in below) + 1
-        elif kind == "just_below":
-            below = set()
-            above = set(self.up[d[1]])
-            gap = min(self.pos[u] for u in above)
-        else:  # pattern
-            D, U, _ = self._needs[idx]
-            below = set()
-            for a in D:
-                below |= self.down[a]
-            above = set()
-            for u in U:
-                above |= self.up[u]
+            gap = self.pos[need[0]] + 1
+        else:
+            below, above = self._spans(need[1], need[2])
             if above:
                 gap = min(self.pos[u] for u in above)
             elif below:
@@ -545,12 +493,12 @@ class StageBuilder:
             self.down[u].add(x)
         self.canon.insert(gap, x)
         self.pos = {e: i for i, e in enumerate(self.canon)}
-        self._status[idx] = _MET
+        self._needs[idx] = False
         self._live.discard(idx)
-        for j in sorted(self._live):
-            if self._witnesses(j, x):
-                self._status[j] = _MET
-                self._live.discard(j)
+        met = {j for j in self._live if self._witnesses(self._needs[j], x)}
+        self._live -= met
+        for j in met:
+            self._needs[j] = False
 
     # -- snapshots
 

@@ -54,8 +54,9 @@ BLOCK_WIDTH = 8
 
 class CapExceededError(RuntimeError):
     """A computation was requested beyond its configured resource cap:
-    ``cap`` names it ("support", "union", "precision", "extension" or
-    "poset"), ``limit`` is its value and ``requested`` the value over it."""
+    ``cap`` names it ("support", "union", "precision", "extension", "poset"
+    or "rational"), ``limit`` is its value and ``requested`` the value over
+    it."""
 
     def __init__(self, message: str, cap: str, limit: int, requested: int):
         super().__init__(message)

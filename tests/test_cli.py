@@ -237,6 +237,8 @@ def test_test_depth_zero_vacuous(capsys):
         ("sample", "--seed", "0", "--n", "-4"),
         ("test", "--depth", "0", "--pair", "0,-1", "--families", "density"),
         ("test", "--depth", "0", "--point", "-3", "--families", "unbounded"),
+        ("randomizer", "--seed", "0", "--depth", "-1"),
+        ("iso", "--depth", "-3"),
     ],
 )
 def test_empty_or_negative_ranges_exit_2(capsys, argv):

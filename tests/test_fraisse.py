@@ -76,6 +76,22 @@ def test_rational_code_inverts_value():
         assert rational_code(rational_value(n)) == n
 
 
+def test_rational_code_refuses_past_its_cap():
+    # the code of this 40-digit answer made the totient sieve raise OverflowError
+    lo, hi = Fraction(10**40, 3), Fraction(10**40 + 1, 3)
+    with pytest.raises(CapExceededError, match="exceeds rational code cap") as exc:
+        fraisse._locate_rational(lo, hi, lo)
+    assert exc.value.cap == "rational"
+    assert exc.value.requested == 56666666666666666666666666666666666666667 + 17
+    # p + q at the cap still gets a code: of the 2^13 reduced fractions with
+    # p + q = 2^14, 1/(2^14 - 1) is enumerated first and 2^14 - 1 last
+    cap = fraisse.RATIONAL_CODE_CAP
+    assert cap == 1 << 14
+    first, last = rational_code(Fraction(1, cap - 1)), rational_code(Fraction(cap - 1))
+    assert last - first == 2 * ((1 << 13) - 1)
+    assert rational_code(-Fraction(cap - 1)) == last + 1
+
+
 def test_simplest_between():
     assert simplest_between(Fraction(1, 5), Fraction(1, 4)) == Fraction(2, 9)
     assert simplest_between(Fraction(-1), Fraction(1)) == 0

@@ -32,6 +32,7 @@ from uminflow import (
     universal_poset_stage,
 )
 from uminflow import measure
+from uminflow.fraisse import rational_code
 from uminflow.measure import _count_extensions, _dnf, _position_masks
 from helpers import random_bijection, random_event
 
@@ -177,6 +178,8 @@ CAP_TRIGGERS = [
      lambda: universal_poset_stage(65)),
     ("poset", 4, 5, "element 5 beyond poset cap 4",
      lambda: poset_canon_presentation(cap=4).less(0, 5)),
+    ("rational", 16384, 16385, "p + q = 16385 exceeds rational code cap 16384",
+     lambda: rational_code(Fraction(16384))),
 ]
 
 
