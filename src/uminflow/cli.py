@@ -60,9 +60,9 @@ class VerificationFailure(RuntimeError):
 
 
 def _caps_from_env(args) -> dict[str, int]:
-    caps = {
-        "support": args.cap_support,
-        "poset": args.cap_poset,
+    caps = {  # a command without a cap's flag reads its default
+        "support": getattr(args, "cap_support", DEFAULT_SUPPORT_CAP),
+        "poset": getattr(args, "cap_poset", DEFAULT_POSET_CAP),
         "extension": DEFAULT_EXTENSION_CAP,
     }
     raw = os.environ.get("UMINFLOW_CAPS", "")
@@ -114,14 +114,26 @@ def _graph_text(g: GraphPrefix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _two_ints(text: str, sep: str | None, name: str, shape: str) -> tuple[int, int]:
+    """The two integers of ``text`` split at ``sep``, or a ValueError quoting it."""
+    try:
+        a, b = map(int, text.split(sep))
+    except ValueError:
+        raise ValueError(f"{name} must be two integers {shape}, got {text!r}") from None
+    return a, b
+
+
 def _parse_graph_text(text: str) -> GraphPrefix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
-    n = int(lines[0])
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ValueError(f"graph vertex count {lines[0]!r} is not an integer") from None
     edges = set()
     for ln in lines[1:]:
-        i, j = map(int, ln.split())
+        i, j = _two_ints(ln, None, "a graph edge line", "I J")
         edges.add((min(i, j), max(i, j)))
     return GraphPrefix(n, frozenset(edges))
 
@@ -164,7 +176,7 @@ def _families(args, caps):
     for name in args.families.split(","):
         name = name.strip()
         if name == "density":
-            n, m = (int(x) for x in args.pair.split(","))
+            n, m = _two_ints(args.pair, ",", "--pair", "N,M")
             out.append(density_test_family((n, m)))
         elif name == "unbounded":
             out.append(unbounded_test_family(args.point))
@@ -181,8 +193,7 @@ def _families(args, caps):
 
 def _parse_seeds(args) -> list[int]:
     if args.seeds:
-        start, _, end = args.seeds.partition(":")
-        seeds = range(int(start), int(end))
+        seeds = range(*_two_ints(args.seeds, ":", "--seeds", "START:END"))
         if not seeds:
             raise ValueError(f"--seeds {args.seeds} is an empty range")
         return list(seeds)
@@ -224,8 +235,6 @@ def _presentation(name: str, caps) -> OrderPresentation:
 
 
 def _cmd_iso(args) -> int:
-    if args.depth < 0:
-        raise ValueError(f"--depth must be non-negative, got {args.depth}")
     caps = _caps_from_env(args)
     pres_a = _presentation(args.a, caps)
     pres_b = _presentation(args.b, caps)
@@ -251,8 +260,6 @@ def _cmd_randomizer(args) -> int:
             raise VerificationFailure(f"certificate {args.verify} does not verify")
         _emit(args, json.dumps({"verified": True, "depth": cert.n}) + "\n")
         return EXIT_OK
-    if args.depth < 0:
-        raise ValueError(f"--depth must be non-negative, got {args.depth}")
     cert = compute_randomizer(tau, stream, args.depth)
     _emit(args, json.dumps(cert.to_json()) + "\n")
     return EXIT_OK
@@ -286,11 +293,11 @@ def _cmd_encode(args) -> int:
 # Argument wiring
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "text"), default="text")
+def _add_output(p, formats: bool):
+    """--out, and --format for a command that prints text or JSON."""
+    if formats:
+        p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--cap-support", type=int, default=DEFAULT_SUPPORT_CAP)
-    p.add_argument("--cap-poset", type=int, default=DEFAULT_POSET_CAP)
 
 
 def _add_measure(p):
@@ -305,7 +312,8 @@ def _add_measure(p):
         "neither cap is settable by a --cap-* flag or UMINFLOW_CAPS",
     )
     p.add_argument("-k", "--precision", type=int, default=20)
-    _add_common(p)
+    _add_output(p, formats=True)
+    p.add_argument("--cap-support", type=int, default=DEFAULT_SUPPORT_CAP)
     p.set_defaults(fn=_cmd_measure)
 
 
@@ -313,7 +321,7 @@ def _add_sample(p):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("order", "graph"), default="order")
-    _add_common(p)
+    _add_output(p, formats=True)
     p.set_defaults(fn=_cmd_sample)
 
 
@@ -329,7 +337,8 @@ def _add_test(p):
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--pair", default="0,1", help="pair for the density family")
     p.add_argument("--point", type=int, default=0, help="point for the unbounded family")
-    _add_common(p)
+    _add_output(p, formats=True)
+    p.add_argument("--cap-poset", type=int, default=DEFAULT_POSET_CAP)
     p.set_defaults(fn=_cmd_test)
 
 
@@ -337,7 +346,8 @@ def _add_iso(p):
     p.add_argument("--a", default="rational-v1")
     p.add_argument("--b", default="rational-v2")
     p.add_argument("--depth", type=int, default=50)
-    _add_common(p)
+    _add_output(p, formats=False)
+    p.add_argument("--cap-poset", type=int, default=DEFAULT_POSET_CAP)
     p.set_defaults(fn=_cmd_iso)
 
 
@@ -346,7 +356,8 @@ def _add_randomizer(p):
     p.add_argument("--tau", default="rational-v1")
     p.add_argument("--depth", type=int, default=100)
     p.add_argument("--verify", default=None, help="certificate JSON to verify")
-    _add_common(p)
+    _add_output(p, formats=False)
+    p.add_argument("--cap-poset", type=int, default=DEFAULT_POSET_CAP)
     p.set_defaults(fn=_cmd_randomizer)
 
 
@@ -357,7 +368,7 @@ def _add_encode(p):
         choices=("bits-to-graph", "graph-to-bits"),
         default="bits-to-graph",
     )
-    _add_common(p)
+    _add_output(p, formats=False)
     p.set_defaults(fn=_cmd_encode)
 
 

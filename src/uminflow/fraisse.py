@@ -777,6 +777,8 @@ def _alternate(
     (its key, its partner's key), (None, None) at an end; it returns the
     image, or None when its search budget runs out.  Returns the forward map.
     """
+    if n < 0:
+        raise ValueError(f"depth must be non-negative, got {n}")
     maps: tuple[dict[int, int], dict[int, int]] = ({}, {})
     mapped: tuple[list, list] = ([], [])  # per side: (key, partner's key), sorted
     least, covered = [0, 0], [0, 0]  # per side: least unmapped, mapped points < n

@@ -37,19 +37,6 @@ class FiniteOrder:
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"repeated element in order {self.elements}")
 
-    @classmethod
-    def of(cls, *elements: int) -> "FiniteOrder":
-        return cls(tuple(elements))
-
-    @property
-    def element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """All ordered pairs (a, b) with a before b in this order."""
-        es = self.elements
-        return [(es[i], es[j]) for i in range(len(es)) for j in range(i + 1, len(es))]
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -1,6 +1,9 @@
+import argparse
 import json
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +250,29 @@ def test_empty_or_negative_ranges_exit_2(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, graph, message",
+    [
+        (("test", "--pair", "0"), "", "--pair must be two integers N,M, got '0'"),
+        (("test", "--pair", "0,x"), "", "--pair must be two integers N,M, got '0,x'"),
+        (("test", "--seeds", "5"), "",
+         "--seeds must be two integers START:END, got '5'"),
+        (("encode", "g.txt", "--direction", "graph-to-bits"), "3\n0 1 2\n",
+         "a graph edge line must be two integers I J, got '0 1 2'"),
+        (("encode", "g.txt", "--direction", "graph-to-bits"), "three\n0 1\n",
+         "graph vertex count 'three' is not an integer"),
+    ],
+    ids=["pair 0", "pair 0,x", "seeds 5", "edge line 0 1 2", "vertex count three"],
+)
+def test_bad_integers_name_the_option_or_line(
+    tmp_path, monkeypatch, capsys, argv, graph, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(graph)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_iso_identity(capsys):
     code, out, _ = run(
         capsys, "iso", "--a", "rational-v1", "--b", "rational-v1", "--depth", "15"
@@ -310,6 +336,17 @@ def test_randomizer_verify_malformed_exit_2(tmp_path, capsys, cert):
     assert err.count("\n") == 1 and err.startswith("error: certificate")
 
 
+def test_readme_command_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "uminflow" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bits.txt").write_text("1011001110\n")
+    for argv in commands:  # the --verify line reads the cert.json written before it
+        assert main(argv[1:]) == 0, argv
+
+
 # -- the subcommand parser against the full one
 
 
@@ -335,9 +372,28 @@ COMMAND_ARGV = {
     "sample": (["--seed", "1", "--n", "3"], ["--seed", "one", "--n", "3"], ["--n", "3"]),
     "test": ([], ["--depth", "deep"], ["--depth"]),
     "iso": ([], ["--depth", "1.5"], ["--a"]),
-    "randomizer": (["--seed", "2"], ["--seed", "2", "--format", "xml"], []),
+    "randomizer": (["--seed", "2"], ["--seed", "2", "--depth", "deep"], []),
     "encode": (["bits.txt"], ["bits.txt", "--direction", "up"], []),
 }
+# per command: the arguments it takes, each by its flags or its name, -h aside
+COMMAND_OPTIONS = {
+    "measure": {"expr", "--method", "-k/--precision", "--format", "--out",
+                "--cap-support"},
+    "sample": {"--seed", "--n", "--kind", "--format", "--out"},
+    "test": {"--seed", "--seeds", "--stream", "--families", "--depth", "--pair",
+             "--point", "--format", "--out", "--cap-poset"},
+    "iso": {"--a", "--b", "--depth", "--out", "--cap-poset"},
+    "randomizer": {"--seed", "--tau", "--depth", "--verify", "--out", "--cap-poset"},
+    "encode": {"input", "--direction", "--out"},
+}
+# the output and cap options that a command does not read, and so does not take
+DROPPED = [
+    (name, option, value)
+    for name, options in COMMAND_OPTIONS.items()
+    for option, value in (("--format", "json"), ("--cap-support", "9"),
+                          ("--cap-poset", "9"))
+    if option not in options
+]
 PARSE_EXITS = [
     [], ["-h"], ["--help"], ["bogus"], ["bogus", "--seed", "1"], ["tes"],
     *(
@@ -364,6 +420,31 @@ def test_main_prints_what_the_full_parser_prints(argv):
     assert code in (0, 2)
 
 
+@pytest.mark.parametrize(
+    "name, add",
+    [command[::2] for command in cli._COMMANDS],
+    ids=[command[0] for command in cli._COMMANDS],
+)
+def test_each_command_takes_only_the_options_it_reads(name, add):
+    parser = argparse.ArgumentParser()
+    add(parser)
+    taken = {"/".join(a.option_strings) or a.dest for a in parser._actions}
+    assert taken - {"-h/--help"} == COMMAND_OPTIONS[name]
+
+
+@pytest.mark.parametrize(
+    "name, option, value", DROPPED, ids=[" ".join(case) for case in DROPPED]
+)
+def test_dropped_options_exit_2_as_through_the_full_parser(name, option, value):
+    argv = [name, *COMMAND_ARGV[name][0], option, value]
+    err = StringIO()
+    with redirect_stderr(err):
+        code = main(argv)
+    _, full_code, _, full_err = _captured(_full_parse, argv)
+    assert code == full_code == 2 and err.getvalue() == full_err
+    assert full_err.endswith(f"error: unrecognized arguments: {option} {value}\n")
+
+
 @pytest.mark.parametrize("name", COMMAND_ARGV)
 def test_unrecognized_arguments_show_every_command(name):
     valid = COMMAND_ARGV[name][0]
@@ -382,17 +463,17 @@ def test_valid_arguments_parse_to_the_full_parsers_namespace(name):
     assert args == _full_parse(argv) and args.command == name
 
 
-_COMMON_OPTIONS = {"--format": ("json", "text"), "--out": ("out.json",),
-                   "--cap-poset": ("9",)}
+_OUT_AND_CAP = {"--out": ("out.json",), "--cap-poset": ("9",)}
 # per command: its options, each with values that parse
 _OPTION_VALUES = {
     "test": {"--seed": ("0", "-3"), "--seeds": ("0:4",), "--depth": ("0", "9"),
              "--stream": ("poset-canon",), "--families": ("poset",),
-             "--pair": ("0,2",), "--point": ("2",), **_COMMON_OPTIONS},
+             "--pair": ("0,2",), "--point": ("2",), "--format": ("json", "text"),
+             **_OUT_AND_CAP},
     "iso": {"--a": ("rational-v2",), "--b": ("poset-canon",), "--depth": ("150",),
-            **_COMMON_OPTIONS},
+            **_OUT_AND_CAP},
     "randomizer": {"--seed": ("7",), "--tau": ("rational-v2",), "--depth": ("5",),
-                   "--verify": ("cert.json",), **_COMMON_OPTIONS},
+                   "--verify": ("cert.json",), **_OUT_AND_CAP},
 }
 # abbreviations, an ambiguous prefix, another command's option, an unknown
 # one, help, a bare "--" and stray values

@@ -324,9 +324,13 @@ def test_back_and_forth_between_variants():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_back_and_forth_empty_depth(n):
-    # range(n) is empty, so the empty map already covers it on both sides
+    # range(0) is empty, so the empty map already covers it on both sides
     v1, v2 = rational_presentation(), rational_presentation_variant()
-    assert back_and_forth(v1, v2, n).pairs == ()
+    if n < 0:
+        with pytest.raises(ValueError, match=r"^depth must be non-negative, got -1$"):
+            back_and_forth(v1, v2, n)
+    else:
+        assert back_and_forth(v1, v2, n).pairs == ()
 
 
 def test_back_and_forth_composition():

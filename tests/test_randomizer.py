@@ -37,8 +37,12 @@ def test_certificate_invariant_small():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_certificate_empty_depth(n):
-    cert = compute_randomizer(TAU, RandomOrderStream(0), n)
-    assert cert.sigma.pairs == () and cert.n == n
+    if n < 0:
+        with pytest.raises(ValueError, match=r"^depth must be non-negative, got -1$"):
+            compute_randomizer(TAU, RandomOrderStream(0), n)
+    else:
+        cert = compute_randomizer(TAU, RandomOrderStream(0), n)
+        assert cert.sigma.pairs == () and cert.n == n
 
 
 def test_own_presentation_certificate():
