@@ -192,7 +192,7 @@ def _families(args, caps):
 
 
 def _parse_seeds(args) -> list[int]:
-    if args.seeds:
+    if args.seeds is not None:
         seeds = range(*_two_ints(args.seeds, ":", "--seeds", "START:END"))
         if not seeds:
             raise ValueError(f"--seeds {args.seeds} is an empty range")

@@ -4,7 +4,8 @@ A presentation is a decidable relation on N: the dense linear order without
 endpoints (compare by a fixed enumeration of the rationals), the random graph
 (a binary-digit adjacency predicate), and a universal poset built in stages by
 a deterministic demand-filling construction together with a distinguished
-linear extension of it.
+linear extension of it.  Each rational presentation decodes and encodes its
+codes through a table of its own, so no state is shared between calls.
 
 One back-and-forth engine (``_alternate``) builds both the isomorphisms
 between order presentations (``back_and_forth``) and the randomizer
@@ -15,13 +16,14 @@ inside the neighbours' interval.  Each side's mapped keys are kept sorted,
 so one bisect finds both neighbours; the map is an order isomorphism at
 every step, so no taken point lies inside the interval, and the pickers
 keep no record of them.  ``back_and_forth`` sorts points by value, float
-first, and picks the least compatible index from ``_scanner``, whose chunks
-keep their indices sorted by key.  The rational picker works on int pairs.
+first, and picks the least compatible index by a presentation's
+``least_fn`` (for a rational one, the code of the simplest rational in the
+interval), or else from ``_scanner``, whose chunks keep their indices
+sorted by key.  The rational pickers work on int pairs.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,15 +61,18 @@ class OrderPresentation:
 
     ``value_fn`` (optional) realizes the order by rational values;
     ``locate_fn`` (optional) finds an element strictly inside an open value
-    interval (either end may be None for unbounded).  Both are capabilities
-    used to steer witness searches; the comparison predicate alone determines
-    the structure.
+    interval (either end may be None for unbounded), near a target value;
+    ``least_fn`` (optional, with ``value_fn``) gives the least element inside
+    one, or inf when it lies past any search budget.  All three are
+    capabilities used to steer witness searches; the comparison predicate
+    alone determines the structure.
     """
 
     name: str
     less_fn: Callable[[int, int], bool]
     value_fn: Callable[[int], Fraction] | None = None
     locate_fn: Callable[[Fraction | None, Fraction | None, Fraction], int] | None = None
+    least_fn: Callable[[Fraction | None, Fraction | None], int | float] | None = None
 
     def less(self, a: int, b: int) -> bool:
         return self.less_fn(a, b)
@@ -79,76 +84,71 @@ class OrderPresentation:
         return -1 if self.less(a, b) else 1
 
 
-@dataclass(frozen=True, eq=False)
-class GraphPresentation:
-    """A symmetric, irreflexive, decidable adjacency predicate on N."""
-
-    name: str
-    adj_fn: Callable[[int, int], bool]
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return self.adj_fn(i, j)
-
-
 # ---------------------------------------------------------------------------
 # The rational order
 
 
-_rational_values: list[Fraction] = [Fraction(0)]
-_rational_positive: Iterator[Fraction] | None = None
-_rational_lock = threading.Lock()
+class _CodeTable:
+    """The fixed bijection N <-> Q, decoded and encoded on demand: code 0 is
+    0, then each reduced p/q by increasing p + q and then p, followed by its
+    negative.  ``cum[s]`` counts the reduced p/q with p + q < s, from a
+    totient sieve grown by doubling; ``rows[s]`` lists the p < s coprime to
+    s, and ``values`` the codes decoded so far.  Single-owner mutable: each
+    rational presentation keeps its own."""
 
+    def __init__(self):
+        self.cum = [0, 0, 0]
+        self.rows: dict[int, list[int]] = {}
+        self.values = {0: Fraction(0)}
 
-def _positive_rationals() -> Iterator[Fraction]:
-    """Reduced positive fractions in breadth-first order of numerator+denominator."""
-    for total in count(2):
-        for p in range(1, total):
-            q = total - p
-            if gcd(p, q) == 1:
-                yield Fraction(p, q)
+    def _grow(self, s: int):  # extend cum past index s
+        top = max(2 * len(self.cum), s + 1)
+        phi = list(range(top))
+        for d in range(2, top):
+            if phi[d] == d:  # d prime
+                for mult in range(d, top, d):
+                    phi[mult] -= phi[mult] // d
+        self.cum = cum = [0, 0, 0]
+        for d in range(2, top):
+            cum.append(cum[-1] + phi[d])
+
+    def _row(self, s: int) -> list[int]:
+        row = self.rows.get(s)
+        if row is None:
+            row = self.rows[s] = [p for p in range(1, s) if gcd(p, s) == 1]
+        return row
+
+    def value(self, n: int) -> Fraction:
+        v = self.values.get(n)
+        if v is None:
+            i = (n - 1) >> 1  # codes 2i + 1 and 2i + 2: the i-th p/q and -p/q
+            while self.cum[-1] <= i:
+                self._grow(len(self.cum))
+            s = bisect_right(self.cum, i) - 1
+            p = self._row(s)[i - self.cum[s]]
+            v = self.values[n] = Fraction(p if n & 1 else -p, s - p)
+        return v
+
+    def code(self, value: Fraction) -> int:
+        """The code of a rational whose p + q is at most RATIONAL_CODE_CAP;
+        a larger one is refused before the sieve runs."""
+        if value == 0:
+            return 0
+        p, q = abs(value.numerator), value.denominator
+        s = p + q
+        if s > RATIONAL_CODE_CAP:
+            message = f"p + q = {s} exceeds rational code cap {RATIONAL_CODE_CAP}"
+            raise CapExceededError(message, "rational", RATIONAL_CODE_CAP, s)
+        if s >= len(self.cum):
+            self._grow(s)
+        index = self.cum[s] + bisect_left(self._row(s), p)
+        return 2 * index + 1 if value > 0 else 2 * index + 2
 
 
 def rational_value(n: int) -> Fraction:
-    """The fixed bijection N -> Q: 0, then each positive rational and its negative.
-
-    The cache only grows and its entries never change, so a cached code is
-    read without the lock; the lock is taken only to extend the cache.
-    """
-    global _rational_positive
-    if n < len(_rational_values):
-        return _rational_values[n]
-    with _rational_lock:
-        if _rational_positive is None:
-            _rational_positive = _positive_rationals()
-        while len(_rational_values) <= n:
-            r = next(_rational_positive)
-            _rational_values.append(r)
-            _rational_values.append(-r)
-    return _rational_values[n]
-
-
-def rational_order_less(a: int, b: int) -> bool:
-    """Dense order without endpoints on N, compared through rational_value."""
-    return rational_value(a) < rational_value(b)
-
-
-_totient_cumulative = [0, 0]  # cumulative #reduced positive fractions with p+q < s
-
-
-def _extend_totients(s: int):
-    if s < len(_totient_cumulative):
-        return
-    top = max(2 * len(_totient_cumulative), s + 1)
-    phi = list(range(top))
-    for d in range(2, top):
-        if phi[d] == d:  # d prime
-            for mult in range(d, top, d):
-                phi[mult] -= phi[mult] // d
-    cum = [0, 0, 0]  # cum[s] = number of reduced fractions with p + q < s
-    for d in range(2, top):
-        cum.append(cum[-1] + phi[d])
-    del _totient_cumulative[:]
-    _totient_cumulative.extend(cum)
+    """The fixed bijection N -> Q: 0, then each positive rational and its
+    negative, by increasing p + q and then p."""
+    return _CodeTable().value(n)
 
 
 def rational_code(value: Fraction) -> int:
@@ -157,19 +157,12 @@ def rational_code(value: Fraction) -> int:
     The code counts the reduced fractions whose p + q is smaller, by a sieve
     up to p + q, so a value with p + q over RATIONAL_CODE_CAP is refused
     before the sieve runs."""
-    if value == 0:
-        return 0
-    p, q = abs(value.numerator), value.denominator
-    s = p + q
-    if s > RATIONAL_CODE_CAP:
-        message = f"p + q = {s} exceeds rational code cap {RATIONAL_CODE_CAP}"
-        raise CapExceededError(message, "rational", RATIONAL_CODE_CAP, s)
-    with _rational_lock:
-        _extend_totients(s)
-        base = _totient_cumulative[s]
-    offset = sum(1 for p2 in range(1, p) if gcd(p2, s) == 1)
-    index = base + offset
-    return 2 * index + 1 if value > 0 else 2 * index + 2
+    return _CodeTable().code(value)
+
+
+def rational_order_less(a: int, b: int) -> bool:
+    """Dense order without endpoints on N, compared through rational_value."""
+    return rational_value(a) < rational_value(b)
 
 
 def _simplest_positive(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -235,27 +228,42 @@ def rational_near(
     return Fraction(p, q)
 
 
-def _locate_rational(
-    lo: Fraction | None, hi: Fraction | None, target: Fraction
-) -> int:
-    return rational_code(rational_near(lo, hi, target))
+def _rational(name: str, flip: int) -> OrderPresentation:
+    """A rational presentation over a code table of its own: element a has
+    the value of code a ^ flip."""
+    table = _CodeTable()
+
+    def value(a: int) -> Fraction:
+        return table.value(a ^ flip)
+
+    def least(lo, hi) -> int | float:
+        # the simplest rational inside has the least p and q there: the least code
+        p, q = _simplest_pair(*_ends(lo, hi))
+        if abs(p) + q > RATIONAL_CODE_CAP:
+            return inf  # its code exceeds 1.6e8, past any search budget
+        m = table.code(Fraction(p, q)) ^ flip
+        if m & flip:  # the even m - 1 reads code m, which may lie inside too
+            v = value(m - 1)
+            if (lo is None or lo < v) and (hi is None or v < hi):
+                return m - 1
+        return m
+
+    def locate(lo, hi, target) -> int:
+        return table.code(rational_near(lo, hi, target)) ^ flip
+
+    return OrderPresentation(
+        name, lambda a, b: value(a) < value(b), value, locate, least
+    )
 
 
 def rational_presentation() -> OrderPresentation:
-    return OrderPresentation(
-        "rational-v1", rational_order_less, rational_value, _locate_rational
-    )
+    return _rational("rational-v1", 0)
 
 
 def rational_presentation_variant() -> OrderPresentation:
     """A second recursive dense order: the same values read through a
     re-enumeration that swaps each even code with its odd successor."""
-    return OrderPresentation(
-        "rational-v2",
-        lambda a, b: rational_value(a ^ 1) < rational_value(b ^ 1),
-        lambda a: rational_value(a ^ 1),
-        lambda lo, hi, target: _locate_rational(lo, hi, target) ^ 1,
-    )
+    return _rational("rational-v2", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +276,6 @@ def rado_adjacent(i: int, j: int) -> bool:
         raise ValueError("adjacency is irreflexive")
     lo, hi = (i, j) if i < j else (j, i)
     return (hi >> lo) & 1 == 1
-
-
-def rado_presentation() -> GraphPresentation:
-    return GraphPresentation("rado-v1", rado_adjacent)
 
 
 def rado_extension_witness(A: Iterable[int], B: Iterable[int]) -> int:
@@ -655,29 +659,17 @@ def check_density(
     pres: OrderPresentation, n: int, search_bound: int
 ) -> DensityReport:
     """Search witnesses j <= search_bound for betweenness of every pair
-    a != b <= n and for points below and above every a <= n."""
-    between: dict[tuple[int, int], int | None] = {}
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if a == b or not pres.less(a, b):
-                continue
-            between[(a, b)] = next(
-                (
-                    j
-                    for j in range(search_bound + 1)
-                    if j != a and j != b and pres.less(a, j) and pres.less(j, b)
-                ),
-                None,
-            )
-    below: dict[int, int | None] = {}
-    above: dict[int, int | None] = {}
-    for a in range(n + 1):
-        below[a] = next(
-            (j for j in range(search_bound + 1) if j != a and pres.less(j, a)), None
-        )
-        above[a] = next(
-            (k for k in range(search_bound + 1) if k != a and pres.less(a, k)), None
-        )
+    a != b <= n and for points below and above every a <= n: the least
+    index in each interval."""
+    key = _sort_key(pres)
+    scan = _scanner(key, search_bound + 1)
+    between = {
+        (a, b): scan(key(a), key(b))
+        for a, b in product(range(n + 1), repeat=2)
+        if a != b and pres.less(a, b)
+    }
+    below = {a: scan(None, key(a)) for a in range(n + 1)}
+    above = {a: scan(key(a), None) for a in range(n + 1)}
     return DensityReport(pres.name, n, search_bound, between, below, above)
 
 
@@ -826,9 +818,17 @@ def back_and_forth(
     """
     key_a, key_b = _sort_key(pres_a), _sort_key(pres_b)
 
-    def least_in(key):
-        scan = _scanner(key, search_budget)
-        return lambda kx, lo, hi: scan(lo[1], hi[1])
+    def least_in(pres, key):
+        if pres.least_fn is None:
+            scan = _scanner(key, search_budget)
+            return lambda kx, lo, hi: scan(lo[1], hi[1])
 
-    fwd = _alternate(n, key_a, key_b, least_in(key_b), least_in(key_a), search_budget)
+        def pick(kx, lo, hi):  # the keys are (float(v), v)
+            c = pres.least_fn(*(None if k is None else k[1] for k in (lo[1], hi[1])))
+            return c if c < search_budget else None
+
+        return pick
+
+    pick_forth, pick_back = least_in(pres_b, key_b), least_in(pres_a, key_a)
+    fwd = _alternate(n, key_a, key_b, pick_forth, pick_back, search_budget)
     return PartialPermutation.from_mapping(fwd)

@@ -455,6 +455,8 @@ class GraphPrefix:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"graph vertex count must be non-negative, got {self.n}")
         for i, j in self.edges:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"bad edge ({i}, {j}) for {self.n} vertices")

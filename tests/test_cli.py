@@ -257,12 +257,17 @@ def test_empty_or_negative_ranges_exit_2(capsys, argv):
         (("test", "--pair", "0,x"), "", "--pair must be two integers N,M, got '0,x'"),
         (("test", "--seeds", "5"), "",
          "--seeds must be two integers START:END, got '5'"),
+        (("test", "--seeds", "", "--depth", "1", "--families", "density"), "",
+         "--seeds must be two integers START:END, got ''"),
         (("encode", "g.txt", "--direction", "graph-to-bits"), "3\n0 1 2\n",
          "a graph edge line must be two integers I J, got '0 1 2'"),
         (("encode", "g.txt", "--direction", "graph-to-bits"), "three\n0 1\n",
          "graph vertex count 'three' is not an integer"),
+        (("encode", "g.txt", "--direction", "graph-to-bits"), "-3\n",
+         "graph vertex count must be non-negative, got -3"),
     ],
-    ids=["pair 0", "pair 0,x", "seeds 5", "edge line 0 1 2", "vertex count three"],
+    ids=["pair 0", "pair 0,x", "seeds 5", "seeds empty", "edge line 0 1 2",
+         "vertex count three", "vertex count -3"],
 )
 def test_bad_integers_name_the_option_or_line(
     tmp_path, monkeypatch, capsys, argv, graph, message

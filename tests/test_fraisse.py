@@ -1,9 +1,12 @@
 import random
-import threading
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, islice
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uminflow import (
     CapExceededError,
@@ -58,19 +61,6 @@ def test_rational_enumeration_prefix():
     ]
 
 
-def test_rational_value_reads_cached_codes_without_the_lock():
-    expected = rational_value(40)
-    got = []
-    reader = threading.Thread(target=lambda: got.append(rational_value(40)))
-    with fraisse._rational_lock:
-        reader.start()
-        reader.join(timeout=5)
-        blocked = reader.is_alive()
-    reader.join(timeout=5)
-    assert not blocked
-    assert got == [expected]
-
-
 def test_rational_code_inverts_value():
     for n in range(500):
         assert rational_code(rational_value(n)) == n
@@ -80,7 +70,7 @@ def test_rational_code_refuses_past_its_cap():
     # the code of this 40-digit answer made the totient sieve raise OverflowError
     lo, hi = Fraction(10**40, 3), Fraction(10**40 + 1, 3)
     with pytest.raises(CapExceededError, match="exceeds rational code cap") as exc:
-        fraisse._locate_rational(lo, hi, lo)
+        rational_presentation().locate_fn(lo, hi, lo)
     assert exc.value.cap == "rational"
     assert exc.value.requested == 56666666666666666666666666666666666666667 + 17
     # p + q at the cap still gets a code: of the 2^13 reduced fractions with
@@ -90,6 +80,69 @@ def test_rational_code_refuses_past_its_cap():
     first, last = rational_code(Fraction(1, cap - 1)), rational_code(Fraction(cap - 1))
     assert last - first == 2 * ((1 << 13) - 1)
     assert rational_code(-Fraction(cap - 1)) == last + 1
+
+
+def _reference_rationals():
+    """0, then each reduced p/q by increasing p + q and then p, followed by
+    its negative: the enumeration behind every rational code."""
+    yield Fraction(0)
+    s = 2
+    while True:
+        for p in range(1, s):
+            if gcd(p, s) == 1:
+                yield Fraction(p, s - p)
+                yield -Fraction(p, s - p)
+        s += 1
+
+
+@cache
+def _reference(count: int) -> list[Fraction]:
+    return list(islice(_reference_rationals(), count))
+
+
+def test_presentations_decode_the_reference_enumeration():
+    ref = _reference(50_000)
+    v1, v2 = rational_presentation().value_fn, rational_presentation_variant().value_fn
+    assert [v1(n) for n in range(50_000)] == ref
+    assert [v2(n) for n in range(50_000)] == [ref[n ^ 1] for n in range(50_000)]
+
+
+def test_rational_value_and_code_at_random_codes():
+    codes = sorted(random.Random(7).sample(range(10**6), 200))
+    values = _reference_rationals()
+    at = 0
+    for code in codes:
+        expected = next(islice(values, code - at, None))
+        at = code + 1
+        assert rational_value(code) == expected
+        assert rational_code(expected) == code
+
+
+_LEAST_BOUND = 4_000
+_endpoint = (
+    st.none()
+    | st.just(Fraction(0))
+    | st.integers(1, _LEAST_BOUND - 1).map(lambda code: _reference(_LEAST_BOUND)[code])
+    | st.builds(Fraction, st.integers(-40, 40), st.integers(1, 30))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_endpoint, _endpoint, st.sampled_from([0, 1]))
+def test_least_fn_is_the_least_code_inside(x, y, flip):
+    """The least element inside (lo, hi) of rational-v1, or of rational-v2
+    through its flip, equals a scan of the codes below a bound."""
+    lo, hi = (x, y) if x is None or y is None or x < y else (y, x)
+    assume(lo is None or hi is None or lo < hi)
+    pres = (rational_presentation, rational_presentation_variant)[flip]()
+    ref = _reference(_LEAST_BOUND)
+    scan = next(
+        (c for c in range(_LEAST_BOUND)
+         if (lo is None or lo < ref[c ^ flip]) and (hi is None or ref[c ^ flip] < hi)),
+        None,
+    )
+    got = pres.least_fn(lo, hi)
+    assert got == scan if scan is not None else got >= _LEAST_BOUND
 
 
 def test_simplest_between():

@@ -4,8 +4,8 @@ Each module of the package is parsed with ast.  A module-level name may not
 be bound to a mutable literal, a comprehension or a call; no function may
 rebind a module name with ``global``; and ``threading`` may appear only in
 the value of a module-level binding on the allow-list.  The allow-list is
-the rational enumeration, the one process-wide cache, behind its lock.  The
-test fails on a stale entry too, so the list can only shrink.
+empty: every cache belongs to an object its caller owns.  The test fails on
+a stale entry too, so the list can only shrink.
 """
 
 import ast
@@ -14,12 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "uminflow"
-ALLOWED = {
-    ("fraisse", "_rational_values"),
-    ("fraisse", "_rational_positive"),
-    ("fraisse", "_rational_lock"),
-    ("fraisse", "_totient_cumulative"),
-}
+ALLOWED: set[tuple[str, str]] = set()
 _MUTABLE = (
     ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
     ast.GeneratorExp, ast.Call,

@@ -15,9 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uminflow import OrderPresentation
+from uminflow import OrderPresentation, rational_presentation
 from uminflow.fraisse import (
-    _locate_rational,
     _simplest_positive,
     _sort_key,
     rational_code,
@@ -129,7 +128,8 @@ def test_rational_near_matches_fraction_reference(case):
     assert type(got) is Fraction and got == expected
     assert simplest_between(lo, hi) == ref_simplest_between(lo, hi)
     if abs(expected.numerator) + expected.denominator < 10**4:  # codes scan p + q
-        assert _locate_rational(lo, hi, target) == rational_code(expected)
+        locate = rational_presentation().locate_fn
+        assert locate(lo, hi, target) == rational_code(expected)
 
 
 @settings(max_examples=200, deadline=None)
