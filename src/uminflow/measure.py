@@ -13,14 +13,16 @@ independent computation paths are provided:
   support the leading ranks are fixed one assignment at a time and the
   last 8 are counted in a block, so no mask is longer than 8! bits at any
   support cap.
-- ``mu_weight_recursive`` rewrites the event as a union of signed cylinder
-  conjunctions, keeps only the minimal ones, measures the union by
-  inclusion-exclusion and each conjunction by peeling negated factors.  It
-  agrees with the oracle and rounds to a requested dyadic precision only at
-  the end.  The union cap is checked while the minimal conjunctions are
-  collected, so an event past it is refused after at most union_cap + 1
-  subset tests per conjunction and before any inclusion-exclusion.  A peel
-  whose positive cylinders form a cycle has measure 0 and is not measured.
+- ``mu_weight_recursive`` rewrites the event as a union of conjunctions, each
+  a pair of masks over atom ids (the ids number the distinct atoms in sorted
+  order), keeps only the minimal ones, measures the union by
+  inclusion-exclusion and each conjunction by peeling negated atoms.  The
+  cylinders' precedence masks are carried down the peel, one atom's pairs
+  added per step, and a peel whose cylinders form a cycle has measure 0 and
+  is not measured.  The union cap is checked while the minimal conjunctions
+  are collected, so an event past it is refused after at most union_cap + 1
+  subset tests per conjunction and before any inclusion-exclusion.  It agrees
+  with the oracle and rounds to a requested dyadic precision only at the end.
 
 Positive conjunctions and posets are measured by counting linear extensions
 with a dynamic program over the downsets reachable from the empty set.
@@ -269,52 +271,45 @@ def _event_mask(e: EventExpr, index: dict[int, int], less, full: int) -> int:
 # ---------------------------------------------------------------------------
 # Weight recursion over signed conjunctions
 
-_Literal = tuple[FiniteOrder, bool]  # (atom order, True = cylinder, False = complement)
-_Conjunction = frozenset[_Literal]
+
+def _atom_ids(e: EventExpr) -> dict[tuple[int, ...], int]:
+    """Each distinct atom's elements mapped to its id bit 1 << i, where i is
+    the atom's place among them in sorted order."""
+    found, stack = set(), [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Atom):
+            found.add(e.order.elements)
+        else:
+            stack.extend((e.child,) if isinstance(e, Not) else e.children)
+    return {es: 1 << i for i, es in enumerate(sorted(found))}
 
 
-def _dnf(e: EventExpr, positive: bool) -> list[_Conjunction]:
-    """Rewrite an expression as a union of conjunctions of signed atoms."""
+def _dnf(e: EventExpr, positive: bool, ids: dict) -> list[tuple[int, int]]:
+    """Rewrite an expression as a union of conjunctions of signed atoms, each a
+    pair (pos, neg) of masks of the atom ids (``ids`` maps an atom's elements
+    to its id bit) that it holds as cylinders and as complements, deduplicated
+    in first-seen order."""
     if isinstance(e, Atom):
-        return [frozenset([(e.order, positive)])]
+        bit = ids[e.order.elements]
+        return [(bit, 0) if positive else (0, bit)]
     if isinstance(e, Not):
-        return _dnf(e.child, not positive)
-    both = e.children
+        return _dnf(e.child, not positive, ids)
     if (isinstance(e, And) and positive) or (isinstance(e, Or) and not positive):
-        out: list[_Conjunction] = [frozenset()]
-        for child in both:
+        out = [(0, 0)]
+        for child in e.children:
             # no term is contradictory, so a merge is contradictory exactly
-            # when the accumulated term holds the negation of a new literal
-            branches = [
-                (b, frozenset((order, not sign) for order, sign in b))
-                for b in _dnf(child, positive)
-            ]
-            out = _dedupe([
-                acc | b for acc in out for b, negations in branches
-                if acc.isdisjoint(negations)
-            ])
+            # when one side negates an atom that the other holds
+            branches = _dnf(child, positive, ids)
+            out = list(dict.fromkeys(
+                (ap | bp, an | bn) for ap, an in out for bp, bn in branches
+                if not (ap & bn or an & bp)
+            ))
         return out
-    out = []
-    for child in both:
-        out.extend(_dnf(child, positive))
-    return _dedupe(out)
+    return list(dict.fromkeys(t for c in e.children for t in _dnf(c, positive, ids)))
 
 
-def _contradictory(term: _Conjunction) -> bool:
-    return any((order, not sign) in term for order, sign in term)
-
-
-def _dedupe(terms: list[_Conjunction]) -> list[_Conjunction]:
-    seen = set()
-    out = []
-    for t in terms:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
-def _absorb(terms: list[_Conjunction], union_cap: int) -> list[_Conjunction]:
+def _absorb(terms: list[tuple[int, int]], union_cap: int) -> list[tuple[int, int]]:
     """The distinct minimal conjunctions: drop any term that contains another
     (it denotes a subset of it) or repeats one.
 
@@ -323,11 +318,11 @@ def _absorb(terms: list[_Conjunction], union_cap: int) -> list[_Conjunction]:
     therefore checked as terms are kept: CapExceededError as soon as
     union_cap + 1 are, after O(len(terms) * union_cap) subset tests.
     """
-    kept: list[_Conjunction] = []
-    for t in sorted(terms, key=len):
-        if any(k <= t for k in kept):
+    kept: list[tuple[int, int]] = []
+    for p, n in sorted(terms, key=lambda t: t[0].bit_count() + t[1].bit_count()):
+        if any(kp & ~p == 0 and kn & ~n == 0 for kp, kn in kept):
             continue
-        kept.append(t)
+        kept.append((p, n))
         if len(kept) > union_cap:
             raise CapExceededError(
                 f"union cap {union_cap} exceeded: {len(kept)} minimal conjunctions"
@@ -337,69 +332,64 @@ def _absorb(terms: list[_Conjunction], union_cap: int) -> list[_Conjunction]:
     return kept
 
 
-def _literal_key(lit: _Literal):
-    return (lit[1], lit[0].elements)
+def _mu_conjunction(pos, neg, pred, named, atoms, memo: dict) -> Fraction:
+    """The weight recursion: peel the lowest negated atom z until none remain,
+    as mu(pos, neg) = mu(pos, neg - z) - mu(pos + z, neg - z).
 
-
-def _mu_conjunction(term: _Conjunction, memo: dict) -> Fraction:
-    """The weight recursion: peel negated factors until none remain."""
-    if term in memo:
-        return memo[term]
-    negated = sorted((lit for lit in term if not lit[1]), key=_literal_key)
-    if not negated:
-        result = _mu_positive(term)
+    ``pred[x]`` is the mask of the support indices that the cylinders of pos
+    place before x, and ``named`` the mask of the indices they name; peeling z
+    adds only z's pairs to a copy.
+    """
+    if (pos, neg) in memo:
+        return memo[pos, neg]
+    if not neg:
+        result = Fraction(_count_extensions(named, pred), factorial(named.bit_count()))
     else:
-        z = negated[0]
-        rest = term - {z}
-        with_z = rest | {(z[0], True)}
-        result = _mu_conjunction(rest, memo)
-        if not _cyclic(_precedence(with_z)):  # else with_z has measure 0
-            result -= _mu_conjunction(with_z, memo)
-    memo[term] = result
+        z = neg & -neg
+        result = _mu_conjunction(pos, neg ^ z, pred, named, atoms, memo)
+        with_z, named_z = _add_cylinders(z, pred, named, atoms)
+        if not _cyclic(with_z, named_z):  # else pos + z has measure 0
+            result -= _mu_conjunction(pos | z, neg ^ z, with_z, named_z, atoms, memo)
+    memo[pos, neg] = result
     return result
 
 
-def _mu_positive(term: _Conjunction) -> Fraction:
-    """Exact measure of an intersection of cylinders via extension counting."""
-    pred = _precedence(term)
-    return Fraction(_count_extensions(len(pred), pred), factorial(len(pred)))
+def _add_cylinders(bits: int, pred: list[int], named: int, atoms: list):
+    """A copy of (pred, named) with the cylinders of the atom ids in ``bits``
+    added: their named indices and consecutive pairs, listed in ``atoms``."""
+    pred = pred.copy()
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        atom_named, pairs = atoms[low.bit_length() - 1]
+        named |= atom_named
+        for b, a in pairs:
+            pred[b] |= a
+    return pred, named
 
 
-def _precedence(term: _Conjunction) -> list[int]:
-    """pred[i]: the bitmask of the elements that the positive literals of the
-    conjunction place before the i-th smallest element they name."""
-    elements: set[int] = set()
-    pairs: set[tuple[int, int]] = set()
-    for order, sign in term:
-        if sign:
-            es = order.elements
-            elements.update(es)
-            pairs.update(zip(es, es[1:]))  # consecutive pairs imply the rest
-    index = {e: i for i, e in enumerate(sorted(elements))}
-    pred = [0] * len(index)
-    for a, b in pairs:
-        pred[index[b]] |= 1 << index[a]
-    return pred
-
-
-def _cyclic(pred: list[int]) -> bool:
-    """Whether the precedence has a cycle, so that no order extends it: the
-    elements placeable after the placed ones stop growing before all are."""
-    placed, full = 0, (1 << len(pred)) - 1
+def _cyclic(pred: list[int], full: int) -> bool:
+    """Whether the precedence on the elements of ``full`` has a cycle, so that
+    no order extends it: the elements placeable after the placed ones stop
+    growing before all are."""
+    placed = 0
     while placed != full:
         ready = placed
-        for i, p in enumerate(pred):
-            if p & ~placed == 0:
-                ready |= 1 << i
+        rest = full & ~placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if pred[low.bit_length() - 1] & ~placed == 0:
+                ready |= low
         if ready == placed:
             return True
         placed = ready
     return False
 
 
-def _count_extensions(n: int, pred: list[int]) -> int:
-    """Linear extensions of {0,...,n-1} where pred[x] is the bitmask of the
-    elements that must precede x.
+def _count_extensions(full: int, pred: list[int]) -> int:
+    """Linear extensions of the elements in the mask ``full``, where pred[x]
+    is the bitmask of the elements that must precede x.
 
     A dynamic program over downsets, run layer by layer from the empty set:
     layer i maps each downset of size i reachable by placing elements whose
@@ -407,9 +397,8 @@ def _count_extensions(n: int, pred: list[int]) -> int:
     reachable downsets are ever stored, so constrained inputs stay small and
     a cyclic one (nothing on the cycle is ever placeable) ends in 0.
     """
-    full = (1 << n) - 1
     layer = {0: 1}
-    for _ in range(n):
+    for _ in range(full.bit_count()):
         nxt: dict[int, int] = {}
         for mask, ways in layer.items():
             rest = full & ~mask
@@ -423,29 +412,38 @@ def _count_extensions(n: int, pred: list[int]) -> int:
     return layer.get(full, 0)
 
 
-def _mu_union(terms: list[_Conjunction], memo: dict) -> Fraction:
-    """Inclusion-exclusion over a union of signed conjunctions."""
-    if not terms:
-        return Fraction(0)
+def _mu_union(terms: list[tuple[int, int]], ids: dict) -> Fraction:
+    """Inclusion-exclusion over a union of signed conjunctions, with the
+    support relabelled onto range(s) once: ``atoms`` holds each id's mask of
+    named indices and its consecutive pairs (b, 1 << a)."""
+    index = {x: i for i, x in enumerate(sorted({x for es in ids for x in es}))}
+    atoms = [
+        (sum(1 << index[x] for x in es),
+         [(index[b], 1 << index[a]) for a, b in zip(es, es[1:])])
+        for es in ids
+    ]
+    memo: dict = {}
     total = Fraction(0)
-    n = len(terms)
-    for mask in range(1, 1 << n):
-        merged: _Conjunction = frozenset()
+    for mask in range(1, 1 << len(terms)):
+        pos = neg = 0
         rest = mask
         while rest:
             low = rest & -rest
-            merged = merged | terms[low.bit_length() - 1]
             rest ^= low
-        if _contradictory(merged):
+            p, n = terms[low.bit_length() - 1]
+            pos, neg = pos | p, neg | n
+        if pos & neg:
             continue
-        sign = -1 if bin(mask).count("1") % 2 == 0 else 1
-        total += sign * _mu_conjunction(merged, memo)
+        pred, named = _add_cylinders(pos, [0] * len(index), 0, atoms)
+        sign = 1 if mask.bit_count() % 2 else -1
+        total += sign * _mu_conjunction(pos, neg, pred, named, atoms, memo)
     return total
 
 
 def mu_weight_exact(e: EventExpr, *, union_cap: int = DEFAULT_UNION_CAP) -> Fraction:
     """The weight-recursion path kept exact (no rounding)."""
-    return _mu_union(_absorb(_dnf(e, positive=True), union_cap), {})
+    ids = _atom_ids(e)
+    return _mu_union(_absorb(_dnf(e, True, ids), union_cap), ids)
 
 
 def mu_weight_recursive(
@@ -518,4 +516,4 @@ def linear_extension_count(
     pred = [0] * p.n
     for a, b in p.relation:
         pred[b] |= 1 << a
-    return _count_extensions(p.n, pred)
+    return _count_extensions((1 << p.n) - 1, pred)

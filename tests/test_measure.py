@@ -33,7 +33,7 @@ from uminflow import (
 )
 from uminflow import measure
 from uminflow.fraisse import rational_code
-from uminflow.measure import _count_extensions, _dnf, _position_masks
+from uminflow.measure import _atom_ids, _count_extensions, _dnf, _position_masks
 from helpers import random_bijection, random_event
 
 
@@ -382,10 +382,16 @@ def test_mu_exact_refuses_before_building_masks(monkeypatch):
 
 def test_count_extensions_edge_cases():
     # 0 -> 1 -> 2 -> 0 is a cycle; 3 is free
-    assert _count_extensions(4, [0b0100, 0b0001, 0b0010, 0]) == 0
-    assert _count_extensions(10, [0] * 10) == factorial(10)
-    assert _count_extensions(16, [0] + [1 << (i - 1) for i in range(1, 16)]) == 1
+    assert _count_extensions(0b1111, [0b0100, 0b0001, 0b0010, 0]) == 0
+    assert _count_extensions((1 << 10) - 1, [0] * 10) == factorial(10)
+    chain = [0] + [1 << (i - 1) for i in range(1, 16)]
+    assert _count_extensions((1 << 16) - 1, chain) == 1
     assert _count_extensions(0, []) == 1
+    # only the named elements are placed: 1 before 3, 0 and 2 left out
+    assert _count_extensions(0b1010, [0, 0, 0, 0b0010]) == 1
+    assert _count_extensions(0b1110, [0, 0, 0, 0b0010]) == 3
+    # a cycle among elements left out of the mask is never read
+    assert _count_extensions(0b1000, [0b0010, 0b0001, 0, 0]) == 1
 
 
 def test_linear_extension_count_on_poset_stages():
@@ -402,7 +408,7 @@ def test_union_cap_counts_minimal_conjunctions():
         (Atom(FiniteOrder((0, 1))),)
         + tuple(And((Atom(FiniteOrder((0, 1))), Atom(FiniteOrder(p)))) for p in pairs)
     )
-    assert len(_dnf(e, positive=True)) > 16
+    assert len(_literal_dnf(e, True)) > 16
     assert mu_weight_exact(e) == mu_exact(e) == Fraction(1, 2)
 
 
@@ -414,8 +420,10 @@ def test_union_cap_refuses_wide_and_of_or():
         for i in range(12)
     ]
     e = parse_event(" & ".join(clauses))
-    raw = len(_dnf(e, positive=True))
-    assert raw == len(_reference_dnf(e, True)) == 1296
+    dnf = _literal_dnf(e, True)
+    assert dnf == _reference_dnf(e, True)
+    raw = len(dnf)
+    assert raw == 1296
     with pytest.raises(CapExceededError) as info:
         mu_weight_exact(e)
     assert str(info.value) == (
@@ -435,15 +443,34 @@ def test_peel_skips_cyclic_branches(N, monkeypatch):
     calls = []
     count = measure._count_extensions
 
-    def counted(n, pred):
-        calls.append(n)
-        return count(n, pred)
+    def counted(full, pred):
+        calls.append(full)
+        return count(full, pred)
 
     monkeypatch.setattr(measure, "_count_extensions", counted)
     assert mu_weight_exact(adjacency_event(0, 1, N)) == Fraction(2, N)
     # 2(N - 2) negated literals; a peel making both n<j<m and m<j'<n positive
     # is cyclic, so only subsets of one orientation's N - 2 atoms are counted
     assert len(calls) <= 2 ** (N - 1)
+
+
+def _literal_dnf(e, positive):
+    """``_dnf``'s terms with each atom id mask mapped back to (order, sign)
+    literals, in the same order."""
+    ids = _atom_ids(e)
+    # ids number the atoms in sorted order, so the lowest negated id is the
+    # least negated atom, the one the peel removes first
+    assert list(ids) == sorted(ids)
+    assert list(ids.values()) == [1 << i for i in range(len(ids))]
+    return [
+        frozenset(
+            (FiniteOrder(es), sign)
+            for es, bit in ids.items()
+            for sign, mask in ((True, pos), (False, neg))
+            if mask & bit
+        )
+        for pos, neg in _dnf(e, positive, ids)
+    ]
 
 
 def _reference_dnf(e, positive):
@@ -485,7 +512,78 @@ def _reference_dedupe(terms):
     return out
 
 
+def _reference_refusal(e):
+    """The union-cap refusal of the weight route as it was on frozensets of
+    literals, or None where that route measured the event."""
+    terms = _reference_dnf(e, True)
+    kept = []
+    for t in sorted(terms, key=len):
+        if not any(k <= t for k in kept):
+            kept.append(t)
+    if len(kept) <= 16:
+        return None
+    return (
+        "union cap 16 exceeded: 17 minimal conjunctions kept from a DNF of"
+        f" {len(terms)} conjunctions"
+    )
+
+
+def _weight_or_refusal(e):
+    try:
+        return mu_weight_exact(e)
+    except CapExceededError as refusal:
+        return str(refusal)
+
+
+@st.composite
+def _deep_events(draw, points: int, leaves: int):
+    """Events on range(points) with leaves // 2 to ``leaves`` leaves, atoms of
+    2 to 4 points, each atom and each And or Or negated half the time: deep
+    peels, which the small events of ``_event_strategy`` seldom reach."""
+    elements = st.lists(st.integers(0, points - 1), min_size=2, max_size=4, unique=True)
+
+    def negated(node):
+        return Not(node) if draw(st.booleans()) else node
+
+    def tree(n):
+        if n == 1:
+            return negated(Atom(FiniteOrder(tuple(draw(elements)))))
+        k = draw(st.integers(2, min(4, n)))
+        cuts = draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1))
+        cuts = sorted(cuts)
+        children = tuple(tree(b - a) for a, b in zip([0, *cuts], [*cuts, n]))
+        return negated(draw(st.sampled_from([And, Or]))(children))
+
+    return tree(draw(st.integers(leaves // 2, leaves)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_deep_events(8, 12))
+def test_weight_route_matches_oracle_on_deep_events(e):
+    # the oracle never refuses a support of 8 points; the weight route
+    # refuses exactly where the frozenset route did, with the same text
+    refusal = _reference_refusal(e)
+    expected = mu_exact(e) if refusal is None else refusal
+    assert _weight_or_refusal(e) == expected
+
+
+def _binary_or(points: int):
+    atoms = st.lists(st.integers(0, points - 1), min_size=2, max_size=3, unique=True)
+    literals = atoms.map(lambda es: Atom(FiniteOrder(tuple(es))))
+    literals = st.one_of(literals, literals.map(Not))
+    return st.tuples(literals, literals).map(Or)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_binary_or(8), min_size=4, max_size=12))
+def test_and_of_binary_ors_refused_as_before(clauses):
+    e = And(tuple(clauses))
+    refusal = _reference_refusal(e)
+    expected = mu_exact(e) if refusal is None else refusal
+    assert _weight_or_refusal(e) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(_event_strategy(5), st.booleans())
 def test_dnf_matches_reference_rewrite(e, positive):
-    assert _dnf(e, positive) == _reference_dnf(e, positive)
+    assert _literal_dnf(e, positive) == _reference_dnf(e, positive)
