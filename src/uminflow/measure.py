@@ -17,10 +17,13 @@ independent computation paths are provided:
   a pair of masks over atom ids (the ids number the distinct atoms in sorted
   order), keeps only the minimal ones, measures the union by
   inclusion-exclusion and each conjunction by peeling negated atoms.  The
-  cylinders' precedence masks are carried down the peel, one atom's pairs
-  added per step, and a peel whose cylinders form a cycle has measure 0 and
-  is not measured.  The union cap is checked while the minimal conjunctions
-  are collected, so an event past it is refused after at most union_cap + 1
+  cylinders' precedence is carried down the peel as transitively closed
+  masks, one atom's pairs added per step.  A negated atom that the positive
+  cylinders contradict is dropped without a peel, and one that they imply
+  makes the conjunction empty; neither is measured.  Every measure is kept
+  as an integer numerator over |support|!, and one Fraction is built per
+  event.  The union cap is checked while the minimal conjunctions are
+  collected, so an event past it is refused after at most union_cap + 1
   subset tests per conjunction and before any inclusion-exclusion.  It agrees
   with the oracle and rounds to a requested dyadic precision only at the end.
 
@@ -332,59 +335,69 @@ def _absorb(terms: list[tuple[int, int]], union_cap: int) -> list[tuple[int, int
     return kept
 
 
-def _mu_conjunction(pos, neg, pred, named, atoms, memo: dict) -> Fraction:
-    """The weight recursion: peel the lowest negated atom z until none remain,
-    as mu(pos, neg) = mu(pos, neg - z) - mu(pos + z, neg - z).
+def _mu_conjunction(pos, neg, pred, named, atoms, scale, memo: dict) -> int:
+    """The weight recursion, as a numerator over ``scale`` = |support|!: peel
+    the lowest negated atom z until none remain, as
+    mu(pos, neg) = mu(pos, neg - z) - mu(pos + z, neg - z).
 
-    ``pred[x]`` is the mask of the support indices that the cylinders of pos
-    place before x, and ``named`` the mask of the indices they name; peeling z
-    adds only z's pairs to a copy.
+    ``pred[x]`` is the transitively closed mask of the support indices that
+    the cylinders of pos place before x, and ``named`` the mask of the indices
+    they name.  Adding z to pos settles two cases without a peel: if pos
+    contradicts z, pos + z is empty and z is dropped; if pos implies z, no
+    order is in pos and outside z, so the measure is 0.  A leaf counts the
+    extensions of the named indices and scales the count by
+    scale // |named|!, so every value is an exact integer.
     """
-    if (pos, neg) in memo:
-        return memo[pos, neg]
-    if not neg:
-        result = Fraction(_count_extensions(named, pred), factorial(named.bit_count()))
-    else:
+    key = (pos, neg)
+    if key in memo:
+        return memo[key]
+    while neg:
         z = neg & -neg
-        result = _mu_conjunction(pos, neg ^ z, pred, named, atoms, memo)
-        with_z, named_z = _add_cylinders(z, pred, named, atoms)
-        if not _cyclic(with_z, named_z):  # else pos + z has measure 0
-            result -= _mu_conjunction(pos | z, neg ^ z, with_z, named_z, atoms, memo)
-    memo[pos, neg] = result
+        neg ^= z
+        with_z = _add_cylinders(z, pred, named, atoms)
+        if with_z is None:  # pos contradicts z: mu(pos, neg) = mu(pos, neg - z)
+            continue
+        if with_z[0] is pred:  # pos implies z
+            result = 0
+        else:
+            result = _mu_conjunction(pos, neg, pred, named, atoms, scale, memo)
+            result -= _mu_conjunction(pos | z, neg, *with_z, atoms, scale, memo)
+        break
+    else:
+        weight = scale // factorial(named.bit_count())
+        result = _count_extensions(named, pred) * weight
+    memo[key] = result
     return result
 
 
 def _add_cylinders(bits: int, pred: list[int], named: int, atoms: list):
-    """A copy of (pred, named) with the cylinders of the atom ids in ``bits``
-    added: their named indices and consecutive pairs, listed in ``atoms``."""
-    pred = pred.copy()
+    """(pred, named) with the cylinders of the atom ids in ``bits`` added:
+    their named indices and consecutive pairs a < b, listed in ``atoms``.
+
+    ``pred`` is kept transitively closed.  A pair whose b already precedes a
+    closes a cycle, so no order extends the cylinders and the result is None.
+    A pair whose a already precedes b is implied and skipped.  Any other adds
+    a and everything before it to b and to everything after b, in a copy; if
+    no pair is added, ``pred`` itself is returned.
+    """
+    out = pred
     while bits:
         low = bits & -bits
         bits ^= low
         atom_named, pairs = atoms[low.bit_length() - 1]
         named |= atom_named
-        for b, a in pairs:
-            pred[b] |= a
-    return pred, named
-
-
-def _cyclic(pred: list[int], full: int) -> bool:
-    """Whether the precedence on the elements of ``full`` has a cycle, so that
-    no order extends it: the elements placeable after the placed ones stop
-    growing before all are."""
-    placed = 0
-    while placed != full:
-        ready = placed
-        rest = full & ~placed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if pred[low.bit_length() - 1] & ~placed == 0:
-                ready |= low
-        if ready == placed:
-            return True
-        placed = ready
-    return False
+        for a, a_bit, b, b_bit in pairs:
+            if out[a] & b_bit:
+                return None
+            if out[b] & a_bit:
+                continue
+            if out is pred:
+                out = pred.copy()
+            before = out[a] | a_bit
+            for y, p in enumerate(out):
+                if p & b_bit or y == b:
+                    out[y] = p | before
+    return out, named
 
 
 def _count_extensions(full: int, pred: list[int]) -> int:
@@ -415,15 +428,19 @@ def _count_extensions(full: int, pred: list[int]) -> int:
 def _mu_union(terms: list[tuple[int, int]], ids: dict) -> Fraction:
     """Inclusion-exclusion over a union of signed conjunctions, with the
     support relabelled onto range(s) once: ``atoms`` holds each id's mask of
-    named indices and its consecutive pairs (b, 1 << a)."""
+    named indices and its consecutive pairs (a, 1 << a, b, 1 << b).  Every
+    term is an integer numerator over s!, and one Fraction is built at the
+    end."""
     index = {x: i for i, x in enumerate(sorted({x for es in ids for x in es}))}
     atoms = [
         (sum(1 << index[x] for x in es),
-         [(index[b], 1 << index[a]) for a, b in zip(es, es[1:])])
+         [(index[a], 1 << index[a], index[b], 1 << index[b])
+          for a, b in zip(es, es[1:])])
         for es in ids
     ]
+    scale = factorial(len(index))
     memo: dict = {}
-    total = Fraction(0)
+    total = 0
     for mask in range(1, 1 << len(terms)):
         pos = neg = 0
         rest = mask
@@ -434,10 +451,12 @@ def _mu_union(terms: list[tuple[int, int]], ids: dict) -> Fraction:
             pos, neg = pos | p, neg | n
         if pos & neg:
             continue
-        pred, named = _add_cylinders(pos, [0] * len(index), 0, atoms)
+        added = _add_cylinders(pos, [0] * len(index), 0, atoms)
+        if added is None:  # the cylinders of pos form a cycle: measure 0
+            continue
         sign = 1 if mask.bit_count() % 2 else -1
-        total += sign * _mu_conjunction(pos, neg, pred, named, atoms, memo)
-    return total
+        total += sign * _mu_conjunction(pos, neg, *added, atoms, scale, memo)
+    return Fraction(total, scale)
 
 
 def mu_weight_exact(e: EventExpr, *, union_cap: int = DEFAULT_UNION_CAP) -> Fraction:

@@ -33,7 +33,13 @@ from uminflow import (
 )
 from uminflow import measure
 from uminflow.fraisse import rational_code
-from uminflow.measure import _atom_ids, _count_extensions, _dnf, _position_masks
+from uminflow.measure import (
+    _add_cylinders,
+    _atom_ids,
+    _count_extensions,
+    _dnf,
+    _position_masks,
+)
 from helpers import random_bijection, random_event
 
 
@@ -452,6 +458,102 @@ def test_peel_skips_cyclic_branches(N, monkeypatch):
     # 2(N - 2) negated literals; a peel making both n<j<m and m<j'<n positive
     # is cyclic, so only subsets of one orientation's N - 2 atoms are counted
     assert len(calls) <= 2 ** (N - 1)
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_peel_runs_at_most_two_to_the_n_nodes(N, monkeypatch):
+    calls = []
+    peel = measure._mu_conjunction
+
+    def counted(*args):
+        calls.append(args[:2])
+        return peel(*args)
+
+    monkeypatch.setattr(measure, "_mu_conjunction", counted)
+    assert mu_weight_exact(adjacency_event(0, 1, N)) == Fraction(2, N)
+    # a negated atom that the positive cylinders contradict is dropped
+    # without a node of its own, so each node is a distinct (pos, neg)
+    assert len(calls) <= 2**N
+
+
+@pytest.mark.parametrize(
+    "text, mu, counts",
+    [
+        # ord(0<1<2) implies ord(0<2): the conjunction is empty, nothing counted
+        ("ord(0<1<2) & !ord(0<2)", Fraction(0), 0),
+        # the cylinder contradicts the negated atom, which is dropped unpeeled
+        ("ord(0<1<2) & !ord(2<0)", Fraction(1, 6), 1),
+        ("ord(0<1) & !ord(1<0)", Fraction(1, 2), 1),
+    ],
+)
+def test_peel_settles_implied_and_contradicted_negations(text, mu, counts, monkeypatch):
+    calls = []
+    count = measure._count_extensions
+
+    def counted(full, pred):
+        calls.append(full)
+        return count(full, pred)
+
+    monkeypatch.setattr(measure, "_count_extensions", counted)
+    e = parse_event(text)
+    assert mu_weight_exact(e) == mu_exact(e) == mu
+    assert len(calls) == counts
+
+
+def _closure(pred: list[int]) -> list[int]:
+    """Warshall's transitive closure of the precedence masks."""
+    closed = list(pred)
+    for k in range(len(closed)):
+        for x in range(len(closed)):
+            if closed[x] >> k & 1:
+                closed[x] |= closed[k]
+    return closed
+
+
+@st.composite
+def _dags(draw, max_size: int):
+    """(n, pred) for a random DAG on range(n): edges only run forward in a
+    random topological order."""
+    n = draw(st.integers(0, max_size))
+    order = draw(st.permutations(range(n)))
+    pred = [0] * n
+    for i, b in enumerate(order):
+        for a in order[:i]:
+            if draw(st.booleans()):
+                pred[b] |= 1 << a
+    return n, pred
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dags(8))
+def test_closing_the_precedence_keeps_the_extension_count(dag):
+    n, pred = dag
+    full = (1 << n) - 1
+    assert _count_extensions(full, pred) == _count_extensions(full, _closure(pred))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=3, unique=True),
+                max_size=5))
+def test_add_cylinders_keeps_the_precedence_closed(orders):
+    atoms = [
+        (sum(1 << x for x in es), [(a, 1 << a, b, 1 << b) for a, b in zip(es, es[1:])])
+        for es in orders
+    ]
+    empty = [0] * 6
+    added = _add_cylinders((1 << len(atoms)) - 1, empty, 0, atoms)
+    raw = [0] * 6
+    for es in orders:
+        for a, b in zip(es, es[1:]):
+            raw[b] |= 1 << a
+    closed = _closure(raw)
+    if any(closed[x] >> x & 1 for x in range(6)):
+        assert added is None
+        return
+    pred, named = added
+    assert pred == closed
+    assert named == sum(1 << x for x in {x for es in orders for x in es})
+    assert (pred is empty) == (not any(raw))
 
 
 def _literal_dnf(e, positive):
