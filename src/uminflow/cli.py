@@ -65,6 +65,9 @@ def _caps_from_env(args) -> dict[str, int]:
         "poset": getattr(args, "cap_poset", DEFAULT_POSET_CAP),
         "extension": DEFAULT_EXTENSION_CAP,
     }
+    for key in ("support", "poset"):
+        if caps[key] < 0:
+            raise ValueError(f"--cap-{key} must be non-negative, got {caps[key]}")
     raw = os.environ.get("UMINFLOW_CAPS", "")
     for item in filter(None, (part.strip() for part in raw.split(","))):
         key, _, value = item.partition("=")

@@ -265,9 +265,13 @@ def test_empty_or_negative_ranges_exit_2(capsys, argv):
          "graph vertex count 'three' is not an integer"),
         (("encode", "g.txt", "--direction", "graph-to-bits"), "-3\n",
          "graph vertex count must be non-negative, got -3"),
+        (("measure", "--cap-support", "-1", "ord(0<1)"), "",
+         "--cap-support must be non-negative, got -1"),
+        (("test", "--families", "poset", "--cap-poset", "-1"), "",
+         "--cap-poset must be non-negative, got -1"),
     ],
     ids=["pair 0", "pair 0,x", "seeds 5", "seeds empty", "edge line 0 1 2",
-         "vertex count three", "vertex count -3"],
+         "vertex count three", "vertex count -3", "cap-support -1", "cap-poset -1"],
 )
 def test_bad_integers_name_the_option_or_line(
     tmp_path, monkeypatch, capsys, argv, graph, message
