@@ -394,8 +394,9 @@ def _add_cylinders(bits: int, pred: list[int], named: int, atoms: list):
             if out is pred:
                 out = pred.copy()
             before = out[a] | a_bit
+            out[b] |= before
             for y, p in enumerate(out):
-                if p & b_bit or y == b:
+                if p & b_bit:
                     out[y] = p | before
     return out, named
 
@@ -428,9 +429,14 @@ def _count_extensions(full: int, pred: list[int]) -> int:
 def _mu_union(terms: list[tuple[int, int]], ids: dict) -> Fraction:
     """Inclusion-exclusion over a union of signed conjunctions, with the
     support relabelled onto range(s) once: ``atoms`` holds each id's mask of
-    named indices and its consecutive pairs (a, 1 << a, b, 1 << b).  Every
-    term is an integer numerator over s!, and one Fraction is built at the
-    end."""
+    named indices and its consecutive pairs (a, 1 << a, b, 1 << b).
+
+    The intersections are visited depth first, each built from its parent by
+    adding only the new atoms to the parent's closed precedence.  A
+    contradictory intersection (an atom both held and negated, or cylinders
+    forming a cycle) is empty, and so is every intersection above it, so its
+    whole subtree is skipped.  Every term is an integer numerator over s!, and
+    one Fraction is built at the end."""
     index = {x: i for i, x in enumerate(sorted({x for es in ids for x in es}))}
     atoms = [
         (sum(1 << index[x] for x in es),
@@ -440,23 +446,24 @@ def _mu_union(terms: list[tuple[int, int]], ids: dict) -> Fraction:
     ]
     scale = factorial(len(index))
     memo: dict = {}
-    total = 0
-    for mask in range(1, 1 << len(terms)):
-        pos = neg = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            p, n = terms[low.bit_length() - 1]
-            pos, neg = pos | p, neg | n
-        if pos & neg:
-            continue
-        added = _add_cylinders(pos, [0] * len(index), 0, atoms)
-        if added is None:  # the cylinders of pos form a cycle: measure 0
-            continue
-        sign = 1 if mask.bit_count() % 2 else -1
-        total += sign * _mu_conjunction(pos, neg, *added, atoms, scale, memo)
-    return Fraction(total, scale)
+
+    def include(first: int, pos: int, neg: int, pred: list[int], named: int) -> int:
+        """The sum over the nonempty sets S of terms from ``first`` on of
+        (-1)^(|S|+1) times the measure of (pos, neg) intersected with S."""
+        total = 0
+        for j in range(first, len(terms)):
+            p, n = terms[j]
+            p, n = p | pos, n | neg
+            if p & n:
+                continue
+            added = _add_cylinders(p & ~pos, pred, named, atoms)
+            if added is None:
+                continue
+            total += _mu_conjunction(p, n, *added, atoms, scale, memo)
+            total -= include(j + 1, p, n, *added)
+        return total
+
+    return Fraction(include(0, 0, 0, [0] * len(index), 0), scale)
 
 
 def mu_weight_exact(e: EventExpr, *, union_cap: int = DEFAULT_UNION_CAP) -> Fraction:
