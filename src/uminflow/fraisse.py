@@ -15,11 +15,14 @@ error; each caller supplies only a picker per side that chooses the image
 inside the neighbours' interval.  Each side's mapped keys are kept sorted,
 so one bisect finds both neighbours; the map is an order isomorphism at
 every step, so no taken point lies inside the interval, and the pickers
-keep no record of them.  ``back_and_forth`` sorts points by value, float
-first, and picks the least compatible index by a presentation's
-``least_fn`` (for a rational one, the code of the simplest rational in the
-interval), or else from ``_scanner``, whose chunks keep their indices
-sorted by key.  The rational pickers work on int pairs.
+keep no record of them.  ``back_and_forth`` picks the least compatible
+index by a presentation's ``least_fn`` (for a rational one, the code of the
+simplest rational in the interval), or else from ``_scanner``, whose chunks
+keep their indices sorted by key.  The rational pickers work on int pairs.
+
+Every consumer orders a presentation's points by one sort key, their
+values float first (``_sort_key``).  ``_values`` gives those values: the
+presentation's ``value_fn``, or else rationals read off its comparisons.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations, count, product
 from math import gcd, inf
 from operator import itemgetter
@@ -45,8 +47,9 @@ class SearchBudgetError(RuntimeError):
     """A witness search was abandoned; the presentation is not homogeneous
     at the explored scale, or the budget is too small for it.  ``blocking``
     is the point whose partner was not found, ``budget`` the number of
-    candidate indices searched, and ``interval`` the (lo, hi) bounds on the
-    other side's sort key that held no candidate, None at an open end."""
+    candidate indices searched, and ``interval`` the (lo, hi) bounds that
+    held no candidate, None at an open end: the other side's values (stream
+    keys on a certificate's forth step), for every presentation."""
 
     def __init__(self, message: str, blocking: int, budget: int, interval: tuple):
         super().__init__(message)
@@ -59,7 +62,8 @@ class SearchBudgetError(RuntimeError):
 class OrderPresentation:
     """A total, decidable, irreflexive comparison predicate on N.
 
-    ``value_fn`` (optional) realizes the order by rational values;
+    ``value_fn`` (optional) realizes the order by rational values; without
+    it, consumers read values off the comparisons (``_values``).
     ``locate_fn`` (optional) finds an element strictly inside an open value
     interval (either end may be None for unbounded), near a target value;
     ``least_fn`` (optional, with ``value_fn``) gives the least element inside
@@ -76,12 +80,6 @@ class OrderPresentation:
 
     def less(self, a: int, b: int) -> bool:
         return self.less_fn(a, b)
-
-    def compare(self, a: int, b: int) -> int:
-        """-1, 0 or 1 as a lies below, at or above b: a cmp_to_key comparator."""
-        if a == b:
-            return 0
-        return -1 if self.less(a, b) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -733,17 +731,45 @@ def _scanner(key, budget: int):
     return scan
 
 
+def _values(pres: OrderPresentation) -> Callable[[int], Fraction]:
+    """A presentation's rational values: its ``value_fn``, or else values
+    given by its comparisons, kept per call.  Code k then takes the midpoint
+    of the values of its nearest smaller and larger codes among 0..k-1, the
+    smaller's + 1 or the larger's - 1 if only one exists, or else 0; a binary
+    search on ``less`` places it among them, O(log k) comparisons."""
+    if pres.value_fn is not None:
+        return pres.value_fn
+    ranked: list[int] = []  # the codes valued so far, in the order
+    values: dict[int, Fraction] = {}
+
+    def value(a: int) -> Fraction:
+        for k in range(len(values), a + 1):
+            at = bisect_left(ranked, True, key=lambda c: not pres.less(c, k))
+            lo = values[ranked[at - 1]] if at else None
+            hi = values[ranked[at]] if at < len(ranked) else None
+            if lo is not None and hi is not None:
+                values[k] = (lo + hi) / 2
+            elif lo is not None:
+                values[k] = lo + 1
+            elif hi is not None:
+                values[k] = hi - 1
+            else:
+                values[k] = Fraction(0)
+            ranked.insert(at, k)
+        return values[a]
+
+    return value
+
+
 def _sort_key(pres: OrderPresentation):
-    """Back-and-forth's sort key: the comparisons, or (float(v), v) for the
-    value v where given.  Correctly rounded float() is monotone, so the pairs
-    sort as the values do, and exact values are compared only when two
-    floats tie (past float range, at +-inf)."""
-    if pres.value_fn is None:
-        return cmp_to_key(pres.compare)
-    value_fn = pres.value_fn
+    """The sort key of every presentation: (float(v), v) for the value v of
+    ``_values``.  Correctly rounded float() is monotone, so the pairs sort
+    as the values do, and exact values are compared only when two floats tie
+    (past float range, at +-inf)."""
+    value = _values(pres)
 
     def key(a: int) -> tuple:
-        v = value_fn(a)
+        v = value(a)
         try:
             return float(v), v
         except OverflowError:
@@ -788,9 +814,9 @@ def _alternate(
             lo = mapped[s][at - 1] if at else (None, None)
             hi = mapped[s][at] if at < len(mapped[s]) else (None, None)
             y = pick(kx, lo, hi)
-            if y is None:  # a sort key stands for its element or value
-                bounds = (k[1] if isinstance(k, tuple) else k for k in (lo[1], hi[1]))
-                interval = tuple(getattr(k, "obj", k) for k in bounds)
+            if y is None:  # a (float, value) sort key stands for its value
+                ends = (lo[1], hi[1])
+                interval = tuple(k[1] if isinstance(k, tuple) else k for k in ends)
                 message = f"no partner for {x} within budget"
                 raise SearchBudgetError(message, x, budget, interval)
             ky, t = key_y(y), 1 - s

@@ -8,18 +8,20 @@ only ever claim their verified depth, and verify only if their pairs cover it.
 
 Certificates come from the back-and-forth engine of the fraisse module, with
 this module's two pickers: forth steps take the stream index whose key lies
-nearest a target interpolated from tau's values, back steps take tau's
+nearest a target interpolated from tau's values (``fraisse._values``, read
+off the comparisons when tau has no value function), back steps take tau's
 ``locate_fn`` image, or else the code nearest the interpolated value.
 Sigma preserves order at every step, so no index already in it lies between
 the images of a point's nearest mapped neighbours (found by bisecting sorted
 keys): the pickers scan that interval with no record of taken indices.
+Verification and the conjugation check sort a map's domain by tau's sort
+key and check that its images rise (``_carries``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import permutations
 
 from .fraisse import (
@@ -28,6 +30,8 @@ from .fraisse import (
     OrderPresentation,
     _alternate,
     _scanner,
+    _sort_key,
+    _values,
     universal_poset_stage,
 )
 from .measure import DEFAULT_EXTENSION_CAP
@@ -63,7 +67,7 @@ class RandomizerCertificate:
         if missing:
             raise ValueError(f"certificate lacks {', '.join(missing)}")
         seed, tau, pairs, depth = (data[k] for k in ("seed", "tau", "pairs", "depth"))
-        if not (isinstance(seed, int) and _is_natural(depth)):
+        if not (type(seed) is int and _is_natural(depth)):
             raise ValueError("certificate seed must be an integer, depth a natural")
         if not isinstance(tau, str):
             raise ValueError("certificate tau must be a string")
@@ -77,30 +81,7 @@ class RandomizerCertificate:
 
 
 def _is_natural(v) -> bool:
-    return isinstance(v, int) and v >= 0
-
-
-def _surrogate_values(pres: OrderPresentation):
-    """Rational stand-ins for a presentation without a value function,
-    assigned in code order by midpoints and unit end steps."""
-    cache: dict[int, Fraction] = {}
-
-    def value(a: int) -> Fraction:
-        for k in range(len(cache), a + 1):
-            below = [v for c, v in cache.items() if pres.less(c, k)]
-            above = [v for c, v in cache.items() if pres.less(k, c)]
-            if below and above:
-                v = (max(below) + min(above)) / 2
-            elif below:
-                v = max(below) + 1
-            elif above:
-                v = min(above) - 1
-            else:
-                v = Fraction(0)
-            cache[k] = v
-        return cache[a]
-
-    return value
+    return type(v) is int and v >= 0  # not a bool, though bool subclasses int
 
 
 def compute_randomizer(
@@ -120,7 +101,7 @@ def compute_randomizer(
     shrinkage polynomial; the stream still reveals keys on demand and a
     search past the budget raises with the blocking point.
     """
-    value = tau.value_fn if tau.value_fn is not None else _surrogate_values(tau)
+    value = _values(tau)
 
     scan_keys = _scanner(xi.key, search_budget)
     scan_codes = _scanner(value, search_budget)
@@ -164,15 +145,20 @@ def compute_randomizer(
     )
 
 
+def _carries(pairs, key, less) -> bool:
+    """Whether the injective map ``pairs`` carries the order of ``key`` onto
+    the strict total order ``less``: a < b iff f(a) < f(b) over every pair.
+    Both orders are total and the map injective, so that holds exactly when
+    the images, read in key order, rise under ``less``: O(n log n) work."""
+    images = [fa for _, fa in sorted(pairs, key=lambda p: key(p[0]))]
+    return all(less(fa, fb) for fa, fb in zip(images, images[1:]))
+
+
 def verify_certificate(
     c: RandomizerCertificate, tau: OrderPresentation, xi: RandomOrderStream
 ) -> bool:
     """Check that the pairs cover range(c.n) on both sides and, re-deriving
-    the stream order, that the invariant holds over every pair.
-
-    Both orders are strict total orders and sigma is injective, so the
-    invariant holds over every pair exactly when the images, read in tau's
-    order, rise under xi, which takes O(n log n) comparisons."""
+    the stream order, that the invariant holds over every pair."""
     if c.seed != xi.seed:
         raise ValueError(f"certificate seed {c.seed} does not match stream {xi.seed}")
     if c.tau_id != tau.name:
@@ -182,9 +168,7 @@ def verify_certificate(
     depth = set(range(c.n))
     if not (c.sigma.domain() >= depth and c.sigma.range() >= depth):
         return False
-    by_tau = cmp_to_key(tau.compare)
-    images = [fa for _, fa in sorted(c.sigma.pairs, key=lambda p: by_tau(p[0]))]
-    return all(xi.less(fa, fb) for fa, fb in zip(images, images[1:]))
+    return _carries(c.sigma.pairs, _sort_key(tau), xi.less)
 
 
 def conjugation_check(
@@ -199,32 +183,16 @@ def conjugation_check(
     sigma o pi^-1 carries pi.tau to it, and reports whether the two sides
     agree (they must, in both the holding and the failing case).
     """
-    dom = sorted(sigma.domain())
-    if any(sigma(a) >= xi_prefix.n for a in dom):
+    if any(b >= xi_prefix.n for _, b in sigma.pairs):
         raise ValueError("sigma maps outside the prefix domain")
-    if not pi.domain() >= set(dom):
+    if not pi.domain() >= sigma.domain():
         raise ValueError("pi is not defined on sigma's domain")
 
-    lhs = all(
-        tau.less(a, b) == xi_prefix.less(sigma(a), sigma(b))
-        for a in dom
-        for b in dom
-        if a != b
-    )
-
+    key = _sort_key(tau)
+    lhs = _carries(sigma.pairs, key, xi_prefix.less)
     pi_inv = pi.inverse()
     sigma_conj = sigma.compose(pi_inv)  # sigma o pi^-1, defined on pi(dom)
-
-    def pi_tau_less(x: int, y: int) -> bool:
-        return tau.less(pi_inv(x), pi_inv(y))
-
-    conj_dom = sorted(sigma_conj.domain())
-    rhs = all(
-        pi_tau_less(x, y) == xi_prefix.less(sigma_conj(x), sigma_conj(y))
-        for x in conj_dom
-        for y in conj_dom
-        if x != y
-    )
+    rhs = _carries(sigma_conj.pairs, lambda x: key(pi_inv(x)), xi_prefix.less)
     return lhs == rhs
 
 
@@ -263,6 +231,8 @@ def poset_automorphism_obstruction(
     back inside the extension event, whose exact measure shrinks with n.
     """
     stage = universal_poset_stage(n, cap=cap)
+    # measured first: the extension cap refuses before the n! search below
+    measure = poset_level_measure(stage, extension_cap=extension_cap)
     rel = stage.stage.relation
     canon = stage.canon
     total = 0
@@ -272,5 +242,4 @@ def poset_automorphism_obstruction(
         image = act(g, canon)
         if all(image.less(a, b) for a, b in rel):
             trapped += 1
-    measure = poset_level_measure(stage, extension_cap=extension_cap)
     return ObstructionReport(n, total, trapped, measure)

@@ -16,12 +16,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from hashlib import sha256
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .fraisse import DEFAULT_POSET_CAP, OrderPresentation, PosetStage, StageBuilder
+from .fraisse import _sort_key
 from .measure import (
     DEFAULT_EXTENSION_CAP,
     adjacency_clause,
@@ -145,7 +146,7 @@ class PresentationOrderSource(_RankedOrderSource):
 
     def __init__(self, pres: OrderPresentation):
         self.pres = pres
-        self._rank = cmp_to_key(pres.compare)
+        self._rank = _sort_key(pres)
 
 
 def sample_bits(seed: int, count: int) -> str:

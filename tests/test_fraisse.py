@@ -347,6 +347,56 @@ def test_canon_presentation_cap():
         pres.less(0, 20)
 
 
+@pytest.mark.parametrize("code", [4, 9])
+def test_canon_sort_key_refuses_as_less_does(code):
+    # the sort key values codes in code order, so a code past the cap is
+    # refused at the first code there is, the cap itself
+    with pytest.raises(CapExceededError) as expected:
+        poset_canon_presentation(cap=4).less(0, 4)
+    with pytest.raises(CapExceededError) as got:
+        fraisse._sort_key(poset_canon_presentation(cap=4))(code)
+    assert str(got.value) == str(expected.value) == "element 4 beyond poset cap 4"
+    assert (got.value.cap, got.value.limit, got.value.requested) == ("poset", 4, 4)
+
+
+def _surrogate_values(pres: OrderPresentation):
+    """Rational stand-ins for a presentation without a value function,
+    assigned in code order by midpoints and unit end steps."""
+    cache: dict[int, Fraction] = {}
+
+    def value(a: int) -> Fraction:
+        for k in range(len(cache), a + 1):
+            below = [v for c, v in cache.items() if pres.less(c, k)]
+            above = [v for c, v in cache.items() if pres.less(k, c)]
+            if below and above:
+                v = (max(below) + min(above)) / 2
+            elif below:
+                v = max(below) + 1
+            elif above:
+                v = min(above) - 1
+            else:
+                v = Fraction(0)
+            cache[k] = v
+        return cache[a]
+
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+))
+def test_values_from_comparisons_match_the_quadratic_reference(drawn):
+    # a random finite order (code a sits at place perm[a]), read in random order
+    perm, reads = drawn
+    pres = OrderPresentation("finite", lambda a, b: perm[a] < perm[b])
+    value, reference = fraisse._values(pres), _surrogate_values(pres)
+    got = {a: value(a) for a in reads}
+    assert got == {a: reference(a) for a in reads}
+    by_order = sorted(got, key=perm.__getitem__)
+    assert all(got[a] < got[b] for a, b in zip(by_order, by_order[1:]))
+
+
 def test_stage_json_shape():
     data = universal_poset_stage(5).to_json()
     assert set(data) == {"n", "pairs", "canon"}
@@ -422,3 +472,7 @@ def test_back_and_forth_budget_violation_reports():
     with pytest.raises(SearchBudgetError) as err:
         back_and_forth(v1, naturals, 10, search_budget=200)
     assert err.value.blocking is not None
+    # the naturals have no value function: the interval holds the values
+    # read off their comparisons, as it does for the rational presentations
+    assert err.value.interval == (None, Fraction(0))
+    assert type(err.value.interval[1]) is Fraction

@@ -2,8 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uminflow import (
+    CapExceededError,
+    OrderPresentation,
+    OrderPrefix,
     PartialPermutation,
     RandomOrderStream,
     RandomizerCertificate,
@@ -20,6 +25,8 @@ from uminflow import (
     universal_poset_stage,
     verify_certificate,
 )
+from uminflow import randomizer
+from uminflow.fraisse import _sort_key
 
 TAU = rational_presentation()
 
@@ -169,6 +176,27 @@ def test_budget_refusal_names_the_point(seed, blocking):
     assert (lo, hi) != (None, None) and (lo is None or hi is None or lo < hi)
 
 
+def test_value_less_refusal_compares_in_n_log_n():
+    # the naturals have no value function and no point below 0; valuing the
+    # budget's 65,536 codes from comparisons took about 2e9 of them when each
+    # code was compared with every earlier one
+    calls = 0
+
+    def less(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > 2_000_000:
+            raise AssertionError("over 2,000,000 comparisons")
+        return a < b
+
+    naturals = OrderPresentation("naturals", less)
+    with pytest.raises(SearchBudgetError) as err:
+        compute_randomizer(naturals, RandomOrderStream(0), 10)
+    assert str(err.value) == "no partner for 1 within budget"
+    assert err.value.interval == (None, 0)
+    assert calls == 917_522
+
+
 def test_verify_seed_mismatch():
     cert = _cert(4, 10)
     with pytest.raises(ValueError):
@@ -231,6 +259,36 @@ def test_conjugation_wrong_sigma_fails_on_both_sides():
     assert conjugation_check(bad, pi, TAU, xi)  # equivalence: both sides fail
 
 
+def _all_pairs(sigma, tau, xi_prefix):
+    """conjugation_check's former all-pairs test of one side, verbatim."""
+    dom = sorted(sigma.domain())
+    return all(
+        tau.less(a, b) == xi_prefix.less(sigma(a), sigma(b))
+        for a in dom
+        for b in dom
+        if a != b
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_carries_matches_the_all_pairs_reference(data):
+    n = data.draw(st.integers(1, 30))
+    perm = data.draw(st.permutations(range(n)))  # code a sits at place perm[a]
+    tau = OrderPresentation("finite", lambda a, b: perm[a] < perm[b])
+    xi = OrderPrefix.from_sequence(data.draw(st.permutations(range(n + 5))))
+    dom = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    images = data.draw(st.lists(
+        st.integers(0, n + 4), min_size=len(dom), max_size=len(dom), unique=True
+    ))
+    if data.draw(st.booleans()):  # make the map carry tau onto xi
+        dom.sort(key=perm.__getitem__)
+        images.sort(key=xi.rank.__getitem__)
+    sigma = PartialPermutation.from_mapping(dict(zip(dom, images)))
+    got = randomizer._carries(sigma.pairs, _sort_key(tau), xi.less)
+    assert got == _all_pairs(sigma, tau, xi)
+
+
 def test_conjugation_domain_mismatch():
     cert = _cert(2, 10)
     xi = RandomOrderStream(2).prefix(max(cert.sigma.range()) + 1)
@@ -246,6 +304,16 @@ def test_obstruction_trivial_stage():
     assert report.automorphism_count == 1
     assert report.all_trapped
     assert report.event_measure == 1
+
+
+def test_obstruction_refuses_before_searching_automorphisms(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("searched the 17! candidate maps")
+
+    monkeypatch.setattr(randomizer, "stage_automorphisms", search)
+    with pytest.raises(CapExceededError) as err:
+        poset_automorphism_obstruction(17)
+    assert (err.value.cap, err.value.limit, err.value.requested) == ("extension", 16, 17)
 
 
 def test_obstruction_stage_six():
