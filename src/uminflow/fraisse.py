@@ -743,6 +743,8 @@ def _values(pres: OrderPresentation) -> Callable[[int], Fraction]:
     values: dict[int, Fraction] = {}
 
     def value(a: int) -> Fraction:
+        if a > len(values):  # a presentation that refuses a names a itself,
+            pres.less(a, a)  # not the first refused code below it
         for k in range(len(values), a + 1):
             at = bisect_left(ranked, True, key=lambda c: not pres.less(c, k))
             lo = values[ranked[at - 1]] if at else None

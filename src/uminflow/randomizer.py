@@ -190,9 +190,9 @@ def conjugation_check(
 
     key = _sort_key(tau)
     lhs = _carries(sigma.pairs, key, xi_prefix.less)
-    pi_inv = pi.inverse()
-    sigma_conj = sigma.compose(pi_inv)  # sigma o pi^-1, defined on pi(dom)
-    rhs = _carries(sigma_conj.pairs, lambda x: key(pi_inv(x)), xi_prefix.less)
+    pushed = {pi(a): key(a) for a in sigma.domain()}  # pi.tau's key, read along pi
+    sigma_conj = sigma.compose(pi.inverse())  # sigma o pi^-1, defined on pi(dom)
+    rhs = _carries(sigma_conj.pairs, pushed.__getitem__, xi_prefix.less)
     return lhs == rhs
 
 

@@ -333,23 +333,43 @@ def test_randomizer_verify_uncovered_depth_exit_4(tmp_path, capsys):
         {"seed": 2, "tau": "rational-v1", "pairs": [[0, -1]], "depth": 1},
         {"seed": 2, "tau": "rational-v1", "pairs": [[0, 0]], "depth": "1"},
         {"seed": "2", "tau": "rational-v1", "pairs": [[0, 0]], "depth": 1},
-        # JSON booleans are no integers, though Python's bool subclasses int;
-        # as integers these would verify against the stream of seed 1
-        {"seed": True, "tau": "rational-v1", "pairs": [[False, True], [True, False]],
-         "depth": True},
-        {"seed": True, "tau": "rational-v1", "pairs": [[0, 0]], "depth": 1},
-        {"seed": 1, "tau": "rational-v1", "pairs": [[0, 0]], "depth": True},
-        {"seed": 1, "tau": "rational-v1", "pairs": [[0, False]], "depth": 1},
     ],
 )
 def test_randomizer_verify_malformed_exit_2(tmp_path, capsys, cert):
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(json.dumps(cert))
     code, out, err = run(
-        capsys, "randomizer", "--seed", "1", "--verify", str(cert_file)
+        capsys, "randomizer", "--seed", "2", "--verify", str(cert_file)
     )
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: certificate")
+
+
+_SEED_DEPTH = "error: certificate seed must be an integer, depth a natural\n"
+_PAIRS = "error: certificate pairs must be [a, b] pairs of naturals\n"
+
+
+@pytest.mark.parametrize(
+    "cert, message",
+    [
+        # JSON booleans are no integers, though Python's bool subclasses int;
+        # read as integers, these would verify against the stream of seed 1
+        ({"seed": True, "tau": "rational-v1", "pairs": [[False, True], [True, False]],
+          "depth": True}, _SEED_DEPTH),
+        ({"seed": True, "tau": "rational-v1", "pairs": [[0, 0]], "depth": 1},
+         _SEED_DEPTH),
+        ({"seed": 1, "tau": "rational-v1", "pairs": [[0, 0]], "depth": True},
+         _SEED_DEPTH),
+        ({"seed": 1, "tau": "rational-v1", "pairs": [[0, False]], "depth": 1}, _PAIRS),
+    ],
+)
+def test_randomizer_verify_boolean_exit_2(tmp_path, capsys, cert, message):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert))
+    code, out, err = run(
+        capsys, "randomizer", "--seed", "1", "--verify", str(cert_file)
+    )
+    assert (code, out, err) == (2, "", message)
 
 
 def test_readme_command_block_runs(tmp_path, monkeypatch):

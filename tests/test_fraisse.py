@@ -349,14 +349,14 @@ def test_canon_presentation_cap():
 
 @pytest.mark.parametrize("code", [4, 9])
 def test_canon_sort_key_refuses_as_less_does(code):
-    # the sort key values codes in code order, so a code past the cap is
-    # refused at the first code there is, the cap itself
+    # the sort key values codes in code order, yet a code past the cap is
+    # refused under its own name, as a comparison with it is
     with pytest.raises(CapExceededError) as expected:
-        poset_canon_presentation(cap=4).less(0, 4)
+        poset_canon_presentation(cap=4).less(0, code)
     with pytest.raises(CapExceededError) as got:
         fraisse._sort_key(poset_canon_presentation(cap=4))(code)
-    assert str(got.value) == str(expected.value) == "element 4 beyond poset cap 4"
-    assert (got.value.cap, got.value.limit, got.value.requested) == ("poset", 4, 4)
+    assert str(got.value) == str(expected.value) == f"element {code} beyond poset cap 4"
+    assert (got.value.cap, got.value.limit, got.value.requested) == ("poset", 4, code)
 
 
 def _surrogate_values(pres: OrderPresentation):
