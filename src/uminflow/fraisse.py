@@ -41,6 +41,9 @@ from .orders import OrderPrefix, PartialPermutation
 DEFAULT_POSET_CAP = 64
 DEFAULT_SEARCH_BUDGET = 1 << 16
 RATIONAL_CODE_CAP = 1 << 14  # the largest p + q that rational_code encodes
+# the largest code with p + q within the cap: -(2^14 - 1), twice the number
+# of reduced p/q with p + q <= 2^14
+_LARGEST_CAPPED_CODE = 163_198_674
 
 
 class SearchBudgetError(RuntimeError):
@@ -117,8 +120,17 @@ class _CodeTable:
         return row
 
     def value(self, n: int) -> Fraction:
+        """The rational of code n; a code past the last whose p + q is at
+        most RATIONAL_CODE_CAP is refused before the sieve grows, with the
+        limit and the request counted in codes."""
         v = self.values.get(n)
         if v is None:
+            if n > _LARGEST_CAPPED_CODE:
+                message = (
+                    f"code {n} exceeds {_LARGEST_CAPPED_CODE}, the last with"
+                    f" p + q <= rational code cap {RATIONAL_CODE_CAP}"
+                )
+                raise CapExceededError(message, "rational", _LARGEST_CAPPED_CODE, n)
             i = (n - 1) >> 1  # codes 2i + 1 and 2i + 2: the i-th p/q and -p/q
             while self.cum[-1] <= i:
                 self._grow(len(self.cum))
@@ -660,7 +672,7 @@ def check_density(
     a != b <= n and for points below and above every a <= n: the least
     index in each interval."""
     key = _sort_key(pres)
-    scan = _scanner(key, search_bound + 1)
+    scan = _scanner(_each(key), search_bound + 1)
     between = {
         (a, b): scan(key(a), key(b))
         for a, b in product(range(n + 1), repeat=2)
@@ -674,8 +686,15 @@ def check_density(
 _SCAN_CHUNKS = (1 << 10, 1 << 12, 1 << 14)
 
 
-def _scanner(key, budget: int):
-    """A per-call index over the candidate indices c < budget.
+def _each(key):
+    """A per-index key as a range deriver: keys(start, stop) lists key(c)
+    for c in range(start, stop)."""
+    return lambda start, stop: list(map(key, range(start, stop)))
+
+
+def _scanner(keys, budget: int):
+    """A per-call index over the candidate indices c < budget, whose keys
+    come from the range deriver ``keys(start, stop)``.
 
     ``scan(lo, hi, target=None, enough=1)`` returns an index c < budget with
     lo < key(c) < hi (None: no bound), or None when the budget holds none.
@@ -684,12 +703,15 @@ def _scanner(key, budget: int):
     first to end with at least ``enough`` candidates in it and before it, or
     the budget reached.  Keys are revealed in index order into one list, and
     each chunk keeps its indices sorted by key, so a block's candidates are
-    one bisected slice; a least-index scan reveals nothing past its answer.
+    one bisected slice.  A target scan asks for each chunk's unrevealed rest
+    in one ``keys(revealed, end)`` call; a least-index scan asks for one
+    index at a time and reveals nothing past its answer.  No index is asked
+    for twice.
     """
     ends = sorted({min(e, budget) for e in _SCAN_CHUNKS} | {budget})
     blocks: list[list[int]] = [[] for _ in ends]
-    keys: list = []  # keys[c] = key(c) for every revealed index c
-    by_key = keys.__getitem__
+    revealed: list = []  # revealed[c] = key(c) for every revealed index c
+    by_key = revealed.__getitem__
 
     def scan(lo, hi, target=None, enough: int = 1) -> int | None:
         def inside(block) -> tuple[int, int]:
@@ -702,8 +724,8 @@ def _scanner(key, budget: int):
                 i, j = inside(block)
                 if i < j:
                     return min(block[i:j])
-            for c in range(len(keys), budget):
-                keys.append(k := key(c))
+            for c in range(len(revealed), budget):
+                revealed.append(k := keys(c, c + 1)[0])
                 insort(blocks[bisect_right(ends, c)], c, key=by_key)
                 if (lo is None or lo < k) and (hi is None or k < hi):
                     return c
@@ -711,18 +733,18 @@ def _scanner(key, budget: int):
         best = None  # (distance, index)
         seen = 0
         for block, end in zip(blocks, ends):
-            if len(keys) < end:
-                fresh = range(len(keys), end)
-                keys.extend(map(key, fresh))
-                block.extend(fresh)
+            start = len(revealed)
+            if start < end:
+                revealed.extend(keys(start, end))
+                block.extend(range(start, end))
                 block.sort(key=by_key)  # stable: equal keys stay in index order
             i, j = inside(block)
             seen += j - i
             at = bisect_left(block, target, i, j, key=by_key)
             for q in (at - 1, at):  # the nearest keys below and above the target
                 if i <= q < j:
-                    c = block[bisect_left(block, keys[block[q]], i, q, key=by_key)]
-                    near = (abs(keys[c] - target), c)
+                    c = block[bisect_left(block, revealed[block[q]], i, q, key=by_key)]
+                    near = (abs(revealed[c] - target), c)
                     best = near if best is None else min(best, near)
             if best is not None and (seen >= enough or end >= budget):
                 return best[1]
@@ -848,7 +870,7 @@ def back_and_forth(
 
     def least_in(pres, key):
         if pres.least_fn is None:
-            scan = _scanner(key, search_budget)
+            scan = _scanner(_each(key), search_budget)
             return lambda kx, lo, hi: scan(lo[1], hi[1])
 
         def pick(kx, lo, hi):  # the keys are (float(v), v)

@@ -61,7 +61,7 @@ class CapExceededError(RuntimeError):
     """A computation was requested beyond its configured resource cap:
     ``cap`` names it ("support", "union", "precision", "extension", "poset"
     or "rational"), ``limit`` is its value and ``requested`` the value over
-    it."""
+    it (a rational code refused on decoding counts both in codes)."""
 
     def __init__(self, message: str, cap: str, limit: int, requested: int):
         super().__init__(message)

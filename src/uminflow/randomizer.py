@@ -29,6 +29,7 @@ from .fraisse import (
     DEFAULT_SEARCH_BUDGET,
     OrderPresentation,
     _alternate,
+    _each,
     _scanner,
     _sort_key,
     _values,
@@ -39,6 +40,7 @@ from .orders import OrderPrefix, PartialPermutation, act
 from .sampler import KEY_BITS, RandomOrderStream, poset_level_measure
 
 _KEY_SPACE = 2**KEY_BITS
+_STREAM_INDICES = 2**64  # a stream derives keys for indices below this
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,8 @@ class RandomizerCertificate:
             for p in pairs
         ):
             raise ValueError("certificate pairs must be [a, b] pairs of naturals")
+        if any(b >= _STREAM_INDICES for _, b in pairs):
+            raise ValueError("certificate images must be stream indices below 2^64")
         sigma = PartialPermutation(tuple((a, b) for a, b in pairs))
         return cls(sigma, tau, seed, depth)
 
@@ -98,13 +102,14 @@ def compute_randomizer(
     interval by a random factor each step, so the witness index blows up
     exponentially with depth.  Images are instead chosen near the key
     proportional to the element's position in value space, which keeps the
-    shrinkage polynomial; the stream still reveals keys on demand and a
+    shrinkage polynomial.  The stream still reveals keys on demand, a scan
+    chunk at a time (``xi.keys``, kept only in the scanner's list), and a
     search past the budget raises with the blocking point.
     """
     value = _values(tau)
 
-    scan_keys = _scanner(xi.key, search_budget)
-    scan_codes = _scanner(value, search_budget)
+    scan_keys = _scanner(xi.keys, search_budget)
+    scan_codes = _scanner(_each(value), search_budget)
 
     def forth(va, lo, hi):
         # lo, hi: (value, image key) of the nearest mapped neighbours in tau

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import sha256
+from itertools import repeat
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -101,8 +102,11 @@ class _RankedOrderSource:
 class RandomOrderStream(_RankedOrderSource):
     """A lazily revealed random total order on N, determined by the seed.
 
-    Single-owner mutable (the key table grows on demand); drive distinct
-    seeds concurrently instead of sharing one stream.
+    ``keys(start, stop)`` is the one loop that derives keys; it returns them
+    and keeps none, so a caller that reads a whole range (the certificate
+    scanner) stores each key once, in its own list.  ``key(n)`` memoizes the
+    single reads in ``_keys``.  Single-owner mutable (the key table grows on
+    demand); drive distinct seeds concurrently instead of sharing one stream.
     """
 
     def __init__(self, seed: int):
@@ -110,13 +114,22 @@ class RandomOrderStream(_RankedOrderSource):
         self._prefix = sha256(b"uminflow-order" + (seed % 2**64).to_bytes(8, "big"))
         self._keys: dict[int, int] = {}
 
+    def keys(self, start: int, stop: int) -> list[int]:
+        """The keys of elements start..stop-1, derived and not kept; an index
+        outside [0, 2^64) raises OverflowError."""
+        copy = self._prefix.copy
+        digests = []
+        for n in range(start, stop):
+            h = copy()
+            h.update(n.to_bytes(8, "big"))
+            digests.append(h.digest())
+        return list(map(int.from_bytes, digests, repeat("big")))
+
     def key(self, n: int) -> int:
         """Element n's key: _digest(b"uminflow-order", seed, n) as an integer."""
         k = self._keys.get(n)
         if k is None:
-            h = self._prefix.copy()
-            h.update(n.to_bytes(8, "big"))
-            k = self._keys[n] = int.from_bytes(h.digest(), "big")
+            k = self._keys[n] = self.keys(n, n + 1)[0]
         return k
 
     def less(self, a: int, b: int) -> bool:

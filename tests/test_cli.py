@@ -1,6 +1,7 @@
 import argparse
 import json
 import shlex
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uminflow import cli
+from uminflow import cli, fraisse
 from uminflow.cli import main
 
 
@@ -370,6 +371,38 @@ def test_randomizer_verify_boolean_exit_2(tmp_path, capsys, cert, message):
         capsys, "randomizer", "--seed", "1", "--verify", str(cert_file)
     )
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "pairs, code, message",
+    [
+        # an image past the stream's indices overflowed its key derivation
+        ([[0, 2**64], [1, 0]], 2,
+         "error: certificate images must be stream indices below 2^64\n"),
+        # a code of p + q near 2^35 grew the totient sieve past 4 GB
+        ([[2**70, 0], [0, 1]], 3,
+         f"cap exceeded: code {2**70} exceeds 163198674, the last with"
+         " p + q <= rational code cap 16384\n"),
+    ],
+)
+def test_randomizer_verify_refuses_crafted_pairs(
+    tmp_path, capsys, monkeypatch, pairs, code, message
+):
+    grow = fraisse._CodeTable._grow
+
+    def bounded(table, s):  # fail fast rather than sieve toward 2^35
+        assert s <= fraisse.RATIONAL_CODE_CAP + 1, f"sieve grown to {s}"
+        grow(table, s)
+
+    monkeypatch.setattr(fraisse._CodeTable, "_grow", bounded)
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(
+        json.dumps({"seed": 1, "tau": "rational-v1", "pairs": pairs, "depth": 1})
+    )
+    t0 = time.process_time()
+    got = run(capsys, "randomizer", "--seed", "1", "--verify", str(cert_file))
+    assert time.process_time() - t0 < 1
+    assert got == (code, "", message)
 
 
 def test_readme_command_block_runs(tmp_path, monkeypatch):

@@ -82,6 +82,21 @@ def test_rational_code_refuses_past_its_cap():
     assert rational_code(-Fraction(cap - 1)) == last + 1
 
 
+def test_rational_value_refuses_past_the_capped_codes():
+    # the last code whose p + q is within the cap is -(2^14 - 1); the next,
+    # 1/2^14, would grow the sieve past the cap, and a code of p + q near
+    # 2^35 grew it past 4 GB
+    assert rational_value(163_198_674) == -(fraisse.RATIONAL_CODE_CAP - 1)
+    for code in (163_198_675, 2**30, 2**70):
+        with pytest.raises(CapExceededError) as exc:
+            rational_value(code)
+        got = exc.value
+        assert (got.cap, got.limit, got.requested) == ("rational", 163_198_674, code)
+        assert str(got) == (
+            f"code {code} exceeds 163198674, the last with p + q <= rational code cap 16384"
+        )
+
+
 def _reference_rationals():
     """0, then each reduced p/q by increasing p + q and then p, followed by
     its negative: the enumeration behind every rational code."""

@@ -176,6 +176,32 @@ def test_budget_refusal_names_the_point(seed, blocking):
     assert (lo, hi) != (None, None) and (lo is None or hi is None or lo < hi)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_certificate_derives_scanned_keys_a_chunk_at_a_time(seed):
+    # the scanner asks the stream for each chunk in one call and keeps the
+    # keys itself; the stream's memo holds only the single reads
+    xi = RandomOrderStream(seed)
+    derive, calls = xi.keys, []
+
+    def keys(start, stop):
+        calls.append((start, stop))
+        return derive(start, stop)
+
+    xi.keys = keys
+    chunks = [(0, 1024), (1024, 4096), (4096, 16384)]
+    if seed == 5:
+        with pytest.raises(SearchBudgetError) as err:
+            compute_randomizer(TAU, xi, 150)
+        assert err.value.blocking == 140
+        chunks.append((16384, 65536))
+    else:
+        assert verify_certificate(compute_randomizer(TAU, xi, 150), TAU, xi)
+    assert [c for c in calls if c[1] - c[0] > 1] == chunks
+    singles = [start for start, stop in calls if stop - start == 1]
+    assert sorted(singles) == sorted(xi._keys)
+    assert len(xi._keys) <= 2 * 150
+
+
 def test_value_less_refusal_compares_in_n_log_n():
     # the naturals have no value function and no point below 0; valuing the
     # budget's 65,536 codes from comparisons took about 2e9 of them when each

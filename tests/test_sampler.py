@@ -6,6 +6,8 @@ from itertools import combinations, permutations
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uminflow import (
     And,
@@ -57,6 +59,30 @@ def test_key_is_the_order_digest(seed):
     for n in (2**64, -1):
         with pytest.raises(OverflowError):
             stream.key(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.sampled_from([0, 5, -1, 2**64 + 5]) | st.integers(),
+    start=st.integers(-40, 40) | st.integers(2**64 - 40, 2**64 + 1),
+    length=st.integers(0, 40),
+)
+def test_keys_derive_a_range_and_keep_none(seed, start, length):
+    stream = RandomOrderStream(seed)
+    stream.key(7)
+    kept = dict(stream._keys)
+    stop = start + length
+    if length and (start < 0 or stop > 2**64):  # reaches -1 or 2^64, as key does
+        with pytest.raises(OverflowError):
+            stream.keys(start, stop)
+        return
+    expected = [
+        int.from_bytes(_digest(b"uminflow-order", seed, n), "big")
+        for n in range(start, stop)
+    ]
+    assert stream.keys(start, stop) == expected
+    assert stream._keys == kept
+    assert [stream.key(n) for n in range(start, stop)] == expected
 
 
 def test_prefix_consistency_many_seeds():

@@ -22,7 +22,7 @@ from uminflow import (
     rational_presentation,
     rational_presentation_variant,
 )
-from uminflow.fraisse import _SCAN_CHUNKS, _scanner
+from uminflow.fraisse import _SCAN_CHUNKS, _each, _scanner
 
 
 def reference_scan(key, taken, lo, hi, budget: int, target=None, enough: int = 1) -> int | None:
@@ -90,7 +90,7 @@ def test_index_matches_reference_scan(case):
         calls.append(c)
         return keys[c]
 
-    scan = _scanner(key, budget)
+    scan = _scanner(_each(key), budget)
     for lo, hi, target, enough in queries:
         # taken points: mapped ones never lie inside (lo, hi)
         taken = {
@@ -116,8 +116,8 @@ def test_nearest_counts_candidates_across_chunks():
         return keys.get(c, 0)
 
     assert reference_scan(key, (), 1, 1000, 1 << 16, target=50, enough=3) == 10
-    assert _scanner(key, 1 << 16)(1, 1000, target=50, enough=3) == 10
-    assert _scanner(key, 1 << 16)(1, 1000, target=50, enough=4) == 5000
+    assert _scanner(_each(key), 1 << 16)(1, 1000, target=50, enough=3) == 10
+    assert _scanner(_each(key), 1 << 16)(1, 1000, target=50, enough=4) == 5000
 
 
 def test_least_index_reveals_nothing_past_its_answer():
@@ -127,12 +127,79 @@ def test_least_index_reveals_nothing_past_its_answer():
         revealed.append(c)
         return c % 10
 
-    scan = _scanner(key, 1 << 16)
+    scan = _scanner(_each(key), 1 << 16)
     assert scan(4, 6) == 5 and max(revealed) == 5
     assert scan(None, 1) == 0 and max(revealed) == 5  # answered from the index
     assert scan(8, None) == 9 and max(revealed) == 9
     assert scan(6, 8, target=7, enough=3) == 7 and max(revealed) == 1023
     assert scan(10, None) is None and max(revealed) == (1 << 16) - 1
+
+
+def recording(key, calls):
+    """A range deriver over ``key`` that records each range asked of it."""
+
+    def keys(start, stop):
+        calls.append((start, stop))
+        return [key(c) for c in range(start, stop)]
+
+    return keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_chunked_deriver_asks_for_each_index_once(case):
+    """The cases above through a deriver of ranges: a target scan asks only
+    for [revealed, chunk end), a least-index scan for one index at a time and
+    none past its answer, and no index is asked for twice."""
+    budget, keys, queries = case
+    ends = {min(e, budget) for e in _SCAN_CHUNKS} | {budget}
+    calls = []
+    scan = _scanner(recording(keys.__getitem__, calls), budget)
+    revealed = 0
+    for lo, hi, target, enough in queries:
+        taken = {
+            c for c in range(0, budget, 7)
+            if not ((lo is None or lo < keys[c]) and (hi is None or keys[c] < hi))
+        }
+        expected = reference_scan(
+            keys.__getitem__, taken, lo, hi, budget, target, enough
+        )
+        calls.clear()
+        assert scan(lo, hi, target, enough) == expected
+        for start, stop in calls:
+            assert start == revealed
+            assert stop == start + 1 if target is None else stop in ends
+            revealed = stop
+        if target is None:
+            last = budget - 1 if expected is None else expected
+            assert all(stop <= last + 1 for _, stop in calls)
+
+
+def test_chunked_nearest_counts_candidates_across_chunks():
+    keys = {10: 100, 20: 100, 2000: 100, 5000: 50}
+    calls = []
+    scan = _scanner(recording(lambda c: keys.get(c, 0), calls), 1 << 16)
+    assert scan(1, 1000, target=50, enough=3) == 10
+    assert calls == [(0, 1024), (1024, 4096)]
+    calls.clear()
+    scan = _scanner(recording(lambda c: keys.get(c, 0), calls), 1 << 16)
+    assert scan(1, 1000, target=50, enough=4) == 5000
+    assert calls == [(0, 1024), (1024, 4096), (4096, 16384)]
+
+
+def test_chunked_least_index_reveals_nothing_past_its_answer():
+    calls = []
+    scan = _scanner(recording(lambda c: c % 10, calls), 1 << 16)
+    assert scan(4, 6) == 5 and calls == [(c, c + 1) for c in range(6)]
+    assert scan(None, 1) == 0 and len(calls) == 6  # answered from the index
+    assert scan(8, None) == 9 and calls[6:] == [(c, c + 1) for c in range(6, 10)]
+    calls.clear()
+    assert scan(6, 8, target=7, enough=3) == 7 and calls == [(10, 1024)]
+    calls.clear()
+    assert scan(6, 8, target=7, enough=10**6) == 7
+    assert calls == [(1024, 4096), (4096, 16384), (16384, 1 << 16)]
+    calls.clear()
+    assert scan(10, None) is None and calls == []  # every index revealed once
 
 
 def test_engine_never_finds_a_taken_point_inside_the_interval(monkeypatch):
