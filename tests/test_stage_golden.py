@@ -5,9 +5,10 @@ Each block digest is the SHA-256 of ``json.dumps`` of the list of
 stages n of the block, each the restriction of the block's last stage to
 range(n) (stages are nested).  The block's first and last stages are also
 built directly.  They pin every stage up to 200, stages 381-400 (where the
-tail patterns over five or more points and the between demands dominate)
-and the extension measures of stages 3-12: a change to the stage builder
-must leave all of them byte-identical.
+tail patterns over five or more points dominate), stages 781-800 and
+1181-1200 (where the between demands dominate) and the extension measures
+of stages 3-12: a change to the stage builder must leave all of them
+byte-identical.
 """
 
 import hashlib
@@ -31,6 +32,8 @@ STAGE_DIGESTS = {
     180: "f7c07d822b05ffdc299ceff716fa50b15de6e1b75a6631df07ff6ecef7b3e618",
     200: "f1737656f42cda0add91d7752f4150e44f13429e5c982b2ea597d588ec5a76b6",
     400: "bf98834da78d525eebd8286ab9b6761a44a28225a575b8d9ed2e1055ad2a8269",
+    800: "3779258ff4dedb3223c6891cdfc16099e9f547bc1469b3ea91782592cadc62b4",
+    1200: "ce688bdba8a9bc8f3142efd64802fc7a9c9463cdea865f9a7bede7be7e498b14",
 }
 LEVEL_MEASURES = {
     3: "1/6",
