@@ -125,6 +125,8 @@ class _CodeTable:
         limit and the request counted in codes."""
         v = self.values.get(n)
         if v is None:
+            if n < 0:
+                raise ValueError(f"rational code {n} is negative")
             if n > _LARGEST_CAPPED_CODE:
                 message = (
                     f"code {n} exceeds {_LARGEST_CAPPED_CODE}, the last with"
@@ -317,20 +319,23 @@ def _valid_witness(z: int, A: set[int], B: set[int]) -> bool:
 #
 # Points are added one at a time.  A fixed dovetailed stream of demands is
 # scanned in order, and each new point realizes the first demand that is
-# consistent with the current stage and not yet witnessed.  Once every
-# element a demand names exists, it becomes one of two needs:
+# consistent with the current stage and not yet witnessed.  A demand is
+# decided once, when every element it names exists: it becomes one of two
+# needs, or False if that need is inconsistent with the stage (dead) or
+# already witnessed (met).  A live need is realized by the step that decides
+# it, so no need waits for a later point.
 #
-#   relational (s, D, U, I)   a point outside {0..s-1} above exactly D, below
-#                             exactly U and incomparable to I, the rest of
-#                             {0..s-1}.  "pattern s, p" reads D and U from p
-#                             (1 below the point, 2 above it); "genesis", the
-#                             first point, has s = 0; "just_above e", a point
-#                             directly above e in the linear extension, has
-#                             s = e+1 and D = e's lower set; "just_below e" is
-#                             the dual
-#   positional (u, v)         "between u, v": a point strictly between u and
-#                             v in the linear extension, incomparable to
-#                             everything
+#   relational (D, U)   a point outside {0..s-1} above exactly D and below
+#                       exactly U among {0..s-1}.  "pattern s, p" reads D and
+#                       U from p (1 below the point, 2 above it); "genesis",
+#                       the first point, has s = 0; "just_above e", a point
+#                       directly above e in the linear extension, has s = e+1
+#                       and D = e's lower set; "just_below e" is the dual
+#   positional (u, v)   "between u, v": a point strictly between u and v in
+#                       the linear extension, incomparable to everything.
+#                       The n points fill the positions 0..n-1, so some point
+#                       lies strictly between u and v unless v's position is
+#                       the next after u's: the need is live exactly then
 #
 # Full pattern pools are emitted for domains up to 4 elements so that every
 # one-point extension demand over {0,...,3} is eventually realized; the
@@ -384,13 +389,14 @@ class StageBuilder:
     """Deterministic incremental construction of the poset and its extension.
 
     Each step scans the demand stream from its first undecided demand and
-    realizes the first live need.  The scan classifies a demand only when it
-    reaches it with every element the demand names present: the demand
-    becomes its relational or positional need, or False if that need is
-    inconsistent with the stage (dead) or already witnessed (met).
-    Consistency is static from then on, so classifying late changes nothing,
-    and dead and met demands stay so.  Only the classification reads the
-    demand's kind.  Single-owner mutable: each caller grows its own builder.
+    realizes the first live need.  The scan decides a demand once, when it
+    reaches it with every element the demand names present, and a live
+    demand is realized by the step that decides it, so no need waits between
+    steps.  A decided demand is replaced by False.  Deciding once is exact: a
+    new point changes no relation among the old points and keeps their
+    order in the extension, so consistency is static and a witness stays
+    one.  Only the decision reads the demand's kind.  Single-owner mutable:
+    each caller grows its own builder.
     """
 
     def __init__(self):
@@ -399,10 +405,8 @@ class StageBuilder:
         self.down: list[set[int]] = []
         self.up: list[set[int]] = []
         self._stream = _demand_stream()
-        self._demands: list[tuple] = []
-        self._needs: list = []  # None: unclassified; False: dead or met; the live need
-        self._live: set[int] = set()
-        self._undecided = 0  # every demand before it is met or dead for good
+        self._demands: list = []  # each demand, or False once decided
+        self._undecided = 0  # every demand before it is decided
 
     @property
     def n(self) -> int:
@@ -417,58 +421,42 @@ class StageBuilder:
     def _materialize(self, idx: int):
         while len(self._demands) <= idx:
             self._demands.append(next(self._stream))
-            self._needs.append(None)
 
-    def _classify(self, idx: int):
-        """Set the demand's need, or False if it is dead or met; a no-op
-        until every element the demand names exists."""
-        kind, *args = self._demands[idx]
+    def _decide(self, demand: tuple):
+        """The demand's live need, False if it is dead or met, or None while
+        an element the demand names is missing."""
+        kind, *args = demand
         if kind == "between":
             u, v = args
             if max(u, v) >= self.n:
-                return
-            need = (u, v) if self.pos[u] < self.pos[v] else False
+                return None
+            return (u, v) if self.pos[v] - self.pos[u] == 1 else False
+        if kind == "pattern":
+            s = args[0]
+        else:  # genesis; just_above e and just_below e
+            s = args[0] + 1 if args else 0
+        if s > self.n:
+            return None
+        R = frozenset(range(s))
+        if kind == "pattern":
+            D = frozenset(i for i in R if args[1][i] == 1)
+            U = frozenset(i for i in R if args[1][i] == 2)
         else:
-            if kind == "pattern":
-                s = args[0]
-            else:  # genesis; just_above e and just_below e
-                s = args[0] + 1 if args else 0
-            if s > self.n:
-                return
-            R = frozenset(range(s))
-            if kind == "pattern":
-                D = frozenset(i for i in R if args[1][i] == 1)
-                U = frozenset(i for i in R if args[1][i] == 2)
-            else:
-                D = R & self.down[args[0]] if kind == "just_above" else frozenset()
-                U = R & self.up[args[0]] if kind == "just_below" else frozenset()
-            below, above = self._spans(D, U)
-            consistent = (
-                below & R == D
-                and above & R == U
-                and all(U <= self.up[a] for a in D)
-            )
-            need = (s, D, U, R - D - U) if consistent else False
-        if need and any(self._witnesses(need, x) for x in range(self.n)):
-            need = False
-        if need:
-            self._live.add(idx)
-        self._needs[idx] = need
+            D = R & self.down[args[0]] if kind == "just_above" else frozenset()
+            U = R & self.up[args[0]] if kind == "just_below" else frozenset()
+        below, above = self._spans(D, U)
+        down, up = self.down, self.up
+        consistent = below & R == D and above & R == U and all(U <= up[a] for a in D)
+        if not consistent or any(
+            down[x] & R == D and up[x] & R == U for x in range(s, self.n)
+        ):
+            return False
+        return D, U
 
     def _spans(self, D: frozenset, U: frozenset) -> tuple[set[int], set[int]]:
         """What lies below some element of D, and above some element of U."""
         below = set().union(*(self.down[a] for a in D))
         return below, set().union(*(self.up[u] for u in U))
-
-    def _witnesses(self, need: tuple, x: int) -> bool:
-        if len(need) == 2:  # positional
-            u, v = need
-            return self.pos[u] < self.pos[x] < self.pos[v]
-        s, D, U, I = need
-        down, up = self.down[x], self.up[x]
-        if x < s or not (D <= down and U <= up):
-            return False
-        return I.isdisjoint(down) and I.isdisjoint(up)
 
     # -- construction steps
 
@@ -476,23 +464,24 @@ class StageBuilder:
         idx = self._undecided
         while True:
             self._materialize(idx)
-            if self._needs[idx] is None:
-                self._classify(idx)
-            need = self._needs[idx]
-            if need:
-                break
-            if need is False and idx == self._undecided:
-                self._undecided += 1
+            demand = self._demands[idx]
+            need = self._decide(demand) if demand else False
+            if need is not None:
+                self._demands[idx] = False
+                if idx == self._undecided:
+                    self._undecided += 1
+                if need:
+                    break
             idx += 1
-        self._realize(idx)
+        self._realize(need)
 
-    def _realize(self, idx: int):
-        need, x = self._needs[idx], self.n
-        if len(need) == 2:  # positional: just above u, related to nothing
+    def _realize(self, need: tuple):
+        x = self.n
+        if isinstance(need[0], int):  # positional: just above u, related to nothing
             below, above = set(), set()
             gap = self.pos[need[0]] + 1
         else:
-            below, above = self._spans(need[1], need[2])
+            below, above = self._spans(*need)
             if above:
                 gap = min(self.pos[u] for u in above)
             elif below:
@@ -507,12 +496,6 @@ class StageBuilder:
             self.down[u].add(x)
         self.canon.insert(gap, x)
         self.pos = {e: i for i, e in enumerate(self.canon)}
-        self._needs[idx] = False
-        self._live.discard(idx)
-        met = {j for j in self._live if self._witnesses(self._needs[j], x)}
-        self._live -= met
-        for j in met:
-            self._needs[j] = False
 
     # -- snapshots
 

@@ -338,25 +338,23 @@ def poset_test_family(
     atom made the first time a level reads it.
     """
     builder = StageBuilder()
-    measures: dict[int, Fraction] = {}  # stage N -> its extension measure
+    stages: dict[int, tuple[Fraction, tuple[_Parts, int]]] = {}  # N -> measure, atoms
     chosen: dict[int, int] = {}  # level k -> its stage
-    relations: dict[int, tuple[_Parts, int]] = {}  # stage N -> its atoms
 
     def level(k: int) -> TestLevel:
         bound = Fraction(1, 2**k)
         start = max((N for j, N in chosen.items() if j < k), default=1)
         for N in range(start, min(poset_cap, extension_cap, SAMPLE_SIZE_CAP) + 1):
-            stage = None
-            if N not in measures:
+            if N not in stages:
                 stage = builder.stage(N)
-                measures[N] = poset_level_measure(stage, extension_cap=extension_cap)
-            if measures[N] <= bound:
+                pairs = sorted(stage.stage.relation)
+                atoms = _Parts(lambda i, pairs=pairs: Atom(FiniteOrder(pairs[i])))
+                measure = poset_level_measure(stage, extension_cap=extension_cap)
+                stages[N] = measure, (atoms, len(pairs))
+            measure, atoms = stages[N]
+            if measure <= bound:
                 chosen[k] = N
-                if N not in relations:
-                    pairs = sorted((stage or builder.stage(N)).stage.relation)
-                    atoms = _Parts(lambda i, pairs=pairs: Atom(FiniteOrder(pairs[i])))
-                    relations[N] = (atoms, len(pairs))
-                return TestLevel(k, measures[N], N, (relations[N],))
+                return TestLevel(k, measure, N, (atoms,))
         raise MLLevelUnavailable(
             f"no stage within cap has extension measure below 2^-{k}"
         )
@@ -519,14 +517,15 @@ def graph_from_bits(bits: str | Sequence[int]) -> GraphPrefix:
     """Decode a bit string into a graph: bit pair_code({i,j}) is the edge {i,j}."""
     values = _as_bits(bits)
     n = _vertex_count(len(values))
-    edges = frozenset(code_pair(c) for c, b in enumerate(values) if b)
+    pairs = ((i, j) for j in range(n) for i in range(j))  # in pair_code order
+    edges = frozenset(p for p, b in zip(pairs, values) if b)
     return GraphPrefix(n, edges)
 
 
 def bits_from_graph(g: GraphPrefix) -> str:
     """Inverse of graph_from_bits on graphs with a full triangular bit count."""
     return "".join(
-        "1" if code_pair(c) in g.edges else "0" for c in range(g.n * (g.n - 1) // 2)
+        "1" if (i, j) in g.edges else "0" for j in range(g.n) for i in range(j)
     )
 
 

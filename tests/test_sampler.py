@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from math import sqrt
 
 import pytest
@@ -439,6 +439,28 @@ def test_codec_round_trip_20_vertices():
     bits = sample_bits(17, 190)
     g = graph_from_bits(bits)
     assert g.n == 20
+    assert bits_from_graph(g) == bits
+
+
+def test_codec_matches_the_pair_code_reference():
+    # bit c is the edge code_pair(c), at every length up to 37 vertices,
+    # triangular or not
+    rng = random.Random(5)
+    for length in range(37 * 36 // 2 + 1):
+        bits = "".join(rng.choice("01") for _ in range(length))
+        g = graph_from_bits(bits)
+        n = next(v for v in count() if v * (v - 1) // 2 >= length)
+        edges = {code_pair(c) for c, b in enumerate(bits) if b == "1"}
+        assert (g.n, g.edges) == (n, edges)
+        full = bits.ljust(n * (n - 1) // 2, "0")
+        assert bits_from_graph(g) == full
+
+
+def test_codec_round_trip_800_vertices():
+    # a code_pair call per bit made this take seconds
+    bits = sample_bits(3, 800 * 799 // 2)
+    g = graph_from_bits(bits)
+    assert g.n == 800 and len(g.edges) == bits.count("1")
     assert bits_from_graph(g) == bits
 
 
