@@ -120,8 +120,8 @@ class _CodeTable:
         return row
 
     def value(self, n: int) -> Fraction:
-        """The rational of code n; a code past the last whose p + q is at
-        most RATIONAL_CODE_CAP is refused before the sieve grows, with the
+        """The rational of code n >= 0; a code past the last whose p + q is
+        at most RATIONAL_CODE_CAP is refused before the sieve grows, with the
         limit and the request counted in codes."""
         v = self.values.get(n)
         if v is None:
