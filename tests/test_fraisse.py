@@ -317,9 +317,9 @@ def test_step_skips_the_decided_demands(monkeypatch):
 
 
 def _reference_decision(n, pos, down, up, demand):
-    """A demand's decision by the former classification: every need carries
-    its domain size and incomparable set, and a witness is sought by
-    testing every point."""
+    """A demand's decision by a full witness scan: every need carries its
+    domain size and incomparable set, and every point is tested as a
+    witness."""
     kind, *args = demand
     if kind == "between":
         u, v = args
