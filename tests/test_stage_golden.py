@@ -5,9 +5,10 @@ Each block digest is the SHA-256 of ``json.dumps`` of the list of
 stages n of the block, each the restriction of the block's last stage to
 range(n) (stages are nested).  The block's first and last stages are also
 built directly.  They pin every stage up to 200, stages 381-400 (where the
-tail patterns over five or more points dominate), stages 781-800 and
-1181-1200 (where the between demands dominate) and the extension measures
-of stages 3-12: a change to the stage builder must leave all of them
+tail patterns over five or more points dominate), stages 781-800,
+1181-1200 and 1981-2000 (deep in the demand stream, where most points
+realize just_above and just_below demands) and the extension measures of
+stages 3-12: a change to the stage builder must leave all of them
 byte-identical.
 """
 
@@ -34,6 +35,7 @@ STAGE_DIGESTS = {
     400: "bf98834da78d525eebd8286ab9b6761a44a28225a575b8d9ed2e1055ad2a8269",
     800: "3779258ff4dedb3223c6891cdfc16099e9f547bc1469b3ea91782592cadc62b4",
     1200: "ce688bdba8a9bc8f3142efd64802fc7a9c9463cdea865f9a7bede7be7e498b14",
+    2000: "5572c9f2204b3c5368206795be7ef292ee28e6854a42b9996cce558a2f7885f3",
 }
 LEVEL_MEASURES = {
     3: "1/6",
