@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import chain, combinations, count, product
 from math import gcd, inf
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
@@ -318,33 +318,43 @@ def _valid_witness(z: int, A: set[int], B: set[int]) -> bool:
 # The universal poset with its distinguished linear extension
 #
 # Points are added one at a time.  A fixed dovetailed stream of demands is
-# scanned in order, and each new point realizes the first demand that is
+# read in order, and each new point realizes the first demand that is
 # consistent with the current stage and not yet witnessed.  A demand is
-# decided once, when every element it names exists: it becomes one of two
-# needs, or False if that need is inconsistent with the stage (dead) or
-# already witnessed (met).  A live need is realized by the step that decides
-# it, so no need waits for a later point.
+# decided once, when every element it names exists: it becomes a need, or
+# False if that need is inconsistent with the stage (dead) or already
+# witnessed (met).  A live need is realized by the step that decides it, so
+# no need waits for a later point.  A need (D, U) over {0..s-1} asks for a
+# point outside {0..s-1} above exactly D and below exactly U among them:
 #
-#   relational (D, U)   a point outside {0..s-1} above exactly D and below
-#                       exactly U among {0..s-1}.  "pattern s, p" reads D and
-#                       U from p (1 below the point, 2 above it); "genesis",
-#                       the first point, has s = 0; "just_above e", a point
-#                       directly above e in the linear extension, has s = e+1
-#                       and D = e's lower set; "just_below e" is the dual
-#   positional (u, v)   "between u, v": a point strictly between u and v in
-#                       the linear extension, incomparable to everything.
-#                       The n points fill the positions 0..n-1, so some point
-#                       lies strictly between u and v unless v's position is
-#                       the next after u's: the need is live exactly then
+#   "pattern s, p"   D and U read from p (1 below the point, 2 above it)
+#   "genesis"        the first point, s = 0
+#   "just_above e"   a point directly above e in the linear extension:
+#                    s = e + 1 and D = e's lower set
+#   "just_below e"   the dual
 #
 # Full pattern pools are emitted for domains up to 4 elements so that every
-# one-point extension demand over {0,...,3} is eventually realized; the
-# interval demands are delayed so that each of the first ten points carries
-# at least one strict relation, and an infinite tail of larger patterns keeps
-# the construction fair.
+# one-point extension demand over {0,...,3} is eventually realized, and an
+# infinite tail of larger patterns keeps the construction fair.
+#
+# No demand asks for a point between two others in the extension: none
+# would ever be live.  just_above m and just_below m, read in round m + 1,
+# are always consistent, and for m >= 5 neither is met when it is decided.
+# That rests on one condition: every pattern read before round m + 1 names
+# at most m points (the full pools name at most 4, and the tail starts at
+# 5 and grows logarithmically).  A witness x > m that exists by then
+# realized a demand read earlier, as once m exists no later demand is
+# decided first.  The point of genesis or just_below e starts with nothing
+# below it.  The point of just_above e (e < m) or of a pattern over s <= m
+# points lies above m only through some a < m below it, with m below a;
+# but a witness of just_above m has m's lower set among {0..m}, so a lies
+# below m as well, which cannot be.  The dual covers just_below m, which
+# the just_above m point, above m, cannot meet either.  So the two points
+# sit directly after and directly before m (gaps pos[m] + 1 and pos[m]),
+# and from then on both of m's neighbours in the extension are newer than
+# m: no point j < m is ever next to it.  Points 0-4 are fixed, and the
+# tests check them.
 
 _FULL_PATTERN_ROUNDS = 4
-_BETWEEN_DELAY = 11
 _TAIL_CHUNK = 2
 
 
@@ -376,11 +386,6 @@ def _demand_stream() -> Iterator[tuple]:
         if r <= _FULL_PATTERN_ROUNDS:
             for p in _grade_patterns(r):
                 yield ("pattern", r, p)
-        if r >= _BETWEEN_DELAY:
-            m = r - _BETWEEN_DELAY
-            for j in range(m):
-                yield ("between", m, j)
-                yield ("between", j, m)
         for _ in range(_TAIL_CHUNK):
             yield next(tail)
 
@@ -388,15 +393,15 @@ def _demand_stream() -> Iterator[tuple]:
 class StageBuilder:
     """Deterministic incremental construction of the poset and its extension.
 
-    Each step scans the demand stream from its first undecided demand and
-    realizes the first live need.  The scan decides a demand once, when it
-    reaches it with every element the demand names present, and a live
-    demand is realized by the step that decides it, so no need waits between
-    steps.  A decided demand is replaced by False.  Deciding once is exact: a
-    new point changes no relation among the old points and keeps their
-    order in the extension, so consistency is static and a witness stays
-    one.  Only the decision reads the demand's kind.  Single-owner mutable:
-    each caller grows its own builder.
+    Each step decides the waiting demands and then the unread stream, in
+    order, and realizes the first live need.  A demand that names a missing
+    element waits for a later step, in its place in the order; every other
+    demand is decided once and dropped, and a live one is realized by the
+    step that decides it, so no need waits between steps.  Deciding once is
+    exact: a new point changes no relation among the old points and keeps
+    their order in the extension, so consistency is static and a witness
+    stays one.  Only the decision reads the demand's kind.  Single-owner
+    mutable: each caller grows its own builder.
     """
 
     def __init__(self):
@@ -405,8 +410,7 @@ class StageBuilder:
         self.down: list[set[int]] = []
         self.up: list[set[int]] = []
         self._stream = _demand_stream()
-        self._demands: list = []  # each demand, or False once decided
-        self._undecided = 0  # every demand before it is decided
+        self._waiting: list[tuple] = []  # read, not yet decided, in order
 
     @property
     def n(self) -> int:
@@ -416,21 +420,10 @@ class StageBuilder:
         while self.n < n:
             self._step()
 
-    # -- demand bookkeeping
-
-    def _materialize(self, idx: int):
-        while len(self._demands) <= idx:
-            self._demands.append(next(self._stream))
-
     def _decide(self, demand: tuple):
         """The demand's live need, False if it is dead or met, or None while
         an element the demand names is missing."""
         kind, *args = demand
-        if kind == "between":
-            u, v = args
-            if max(u, v) >= self.n:
-                return None
-            return (u, v) if self.pos[v] - self.pos[u] == 1 else False
         if kind == "pattern":
             s = args[0]
         else:  # genesis; just_above e and just_below e
@@ -461,33 +454,26 @@ class StageBuilder:
     # -- construction steps
 
     def _step(self):
-        idx = self._undecided
-        while True:
-            self._materialize(idx)
-            demand = self._demands[idx]
-            need = self._decide(demand) if demand else False
-            if need is not None:
-                self._demands[idx] = False
-                if idx == self._undecided:
-                    self._undecided += 1
-                if need:
-                    break
-            idx += 1
+        waiting = iter(self._waiting)
+        self._waiting = []
+        for demand in chain(waiting, self._stream):
+            need = self._decide(demand)
+            if need is None:
+                self._waiting.append(demand)
+            elif need:
+                break
+        self._waiting.extend(waiting)  # the waiting demands after the live one
         self._realize(need)
 
     def _realize(self, need: tuple):
         x = self.n
-        if isinstance(need[0], int):  # positional: just above u, related to nothing
-            below, above = set(), set()
-            gap = self.pos[need[0]] + 1
+        below, above = self._spans(*need)
+        if above:
+            gap = min(self.pos[u] for u in above)
+        elif below:
+            gap = max(self.pos[y] for y in below) + 1
         else:
-            below, above = self._spans(*need)
-            if above:
-                gap = min(self.pos[u] for u in above)
-            elif below:
-                gap = max(self.pos[y] for y in below) + 1
-            else:
-                gap = 0
+            gap = 0
         self.down.append(below | {x})
         self.up.append(above | {x})
         for y in below:
