@@ -94,6 +94,8 @@ class FinitePoset:
     relation: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"poset size must be non-negative, got {self.n}")
         rel = self.relation
         succ: dict[int, set[int]] = {}
         for a, b in rel:

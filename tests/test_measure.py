@@ -209,6 +209,17 @@ def test_poset_validation():
         FinitePoset.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+def test_poset_refuses_a_negative_size(n):
+    # stage -2 had a poset of size -2 and an empty extension, and counting
+    # the extensions of a negative size raised "negative shift count"
+    message = f"poset size must be non-negative, got {n}"
+    with pytest.raises(ValueError, match=message):
+        FinitePoset(n, frozenset())
+    with pytest.raises(ValueError, match=message):
+        universal_poset_stage(n)
+
+
 def test_additivity_on_disjoint_events():
     rng = random.Random(40)
     guard = parse_event("ord(0<1)")
