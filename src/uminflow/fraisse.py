@@ -323,14 +323,23 @@ def _valid_witness(z: int, A: set[int], B: set[int]) -> bool:
 # decided once, when every element it names exists: it becomes a need, or
 # False if that need is inconsistent with the stage (dead) or already
 # witnessed (met).  A live need is realized by the step that decides it, so
-# no need waits for a later point.  A need (D, U) over {0..s-1} asks for a
-# point outside {0..s-1} above exactly D and below exactly U among them:
+# no need waits for a later point.  Sets of points are int masks, bit x for
+# point x, and the builder keeps down[x] and up[x], x with every point
+# below it and above it.  A need (D, U) over the domain R = {0..s-1}, mask
+# (1 << s) - 1, asks for a point outside R above exactly the points of the
+# mask D and below exactly those of U among R:
 #
 #   "pattern s, p"   D and U read from p (1 below the point, 2 above it)
 #   "genesis"        the first point, s = 0
 #   "just_above e"   a point directly above e in the linear extension:
-#                    s = e + 1 and D = e's lower set
-#   "just_below e"   the dual
+#                    s = e + 1 and D = down[e] & R
+#   "just_below e"   the dual: U = up[e] & R
+#
+# It is consistent when D is closed downward and U upward within R
+# (below & R == D for the union below of down[a] over a in D, and dually)
+# and every point of D lies below every point of U.  It is met by a point
+# x >= s with down[x] & R == D and up[x] & R == U; such an x lies in up[a]
+# for each a in D and in down[u] for each u in U, which narrows the scan.
 #
 # Full pattern pools are emitted for domains up to 4 elements so that every
 # one-point extension demand over {0,...,3} is eventually realized, and an
@@ -356,6 +365,14 @@ def _valid_witness(z: int, A: set[int], B: set[int]) -> bool:
 
 _FULL_PATTERN_ROUNDS = 4
 _TAIL_CHUNK = 2
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The points of a mask, least first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _grade_patterns(s: int) -> Iterator[tuple[int, ...]]:
@@ -393,22 +410,25 @@ def _demand_stream() -> Iterator[tuple]:
 class StageBuilder:
     """Deterministic incremental construction of the poset and its extension.
 
-    Each step decides the waiting demands and then the unread stream, in
-    order, and realizes the first live need.  A demand that names a missing
-    element waits for a later step, in its place in the order; every other
-    demand is decided once and dropped, and a live one is realized by the
-    step that decides it, so no need waits between steps.  Deciding once is
-    exact: a new point changes no relation among the old points and keeps
-    their order in the extension, so consistency is static and a witness
-    stays one.  Only the decision reads the demand's kind.  Single-owner
-    mutable: each caller grows its own builder.
+    Points are the bits of int masks: ``down[x]`` holds x and every point
+    below it, ``up[x]`` x and every point above it, and ``pos[x]`` is x's
+    position in the extension ``canon``.  Each step decides the waiting
+    demands and then the unread stream, in order, and realizes the first
+    live need.  A demand that names a missing element waits for a later
+    step, in its place in the order; every other demand is decided once and
+    dropped, and a live one is realized by the step that decides it, so no
+    need waits between steps.  Deciding once is exact: a new point changes
+    no relation among the old points and keeps their order in the
+    extension, so consistency is static and a witness stays one.  Only the
+    decision reads the demand's kind.  Single-owner mutable: each caller
+    grows its own builder.
     """
 
     def __init__(self):
         self.canon: list[int] = []
         self.pos: dict[int, int] = {}
-        self.down: list[set[int]] = []
-        self.up: list[set[int]] = []
+        self.down: list[int] = []
+        self.up: list[int] = []
         self._stream = _demand_stream()
         self._waiting: list[tuple] = []  # read, not yet decided, in order
 
@@ -421,8 +441,8 @@ class StageBuilder:
             self._step()
 
     def _decide(self, demand: tuple):
-        """The demand's live need, False if it is dead or met, or None while
-        an element the demand names is missing."""
+        """The demand's live need (D, U) as masks, False if it is dead or
+        met, or None while an element the demand names is missing."""
         kind, *args = demand
         if kind == "pattern":
             s = args[0]
@@ -430,26 +450,39 @@ class StageBuilder:
             s = args[0] + 1 if args else 0
         if s > self.n:
             return None
-        R = frozenset(range(s))
-        if kind == "pattern":
-            D = frozenset(i for i in R if args[1][i] == 1)
-            U = frozenset(i for i in R if args[1][i] == 2)
-        else:
-            D = R & self.down[args[0]] if kind == "just_above" else frozenset()
-            U = R & self.up[args[0]] if kind == "just_below" else frozenset()
-        below, above = self._spans(D, U)
+        R = (1 << s) - 1
         down, up = self.down, self.up
-        consistent = below & R == D and above & R == U and all(U <= up[a] for a in D)
-        if not consistent or any(
-            down[x] & R == D and up[x] & R == U for x in range(s, self.n)
-        ):
+        if kind == "pattern":
+            D = sum(1 << i for i, sign in enumerate(args[1]) if sign == 1)
+            U = sum(1 << i for i, sign in enumerate(args[1]) if sign == 2)
+        else:
+            D = down[args[0]] & R if kind == "just_above" else 0
+            U = up[args[0]] & R if kind == "just_below" else 0
+        below, above = self._spans(D, U)
+        if below & R != D or above & R != U:
+            return False
+        if U and any(U & ~up[a] for a in _bits(D)):  # a point of D not below all U
+            return False
+        # a witness x >= s lies in up[a] for a in D and in down[u] for u in U:
+        # scan only those of the highest-numbered a and u
+        witnesses = ~R & ((1 << self.n) - 1)
+        if D:
+            witnesses &= up[D.bit_length() - 1]
+        if U:
+            witnesses &= down[U.bit_length() - 1]
+        if any(down[x] & R == D and up[x] & R == U for x in _bits(witnesses)):
             return False
         return D, U
 
-    def _spans(self, D: frozenset, U: frozenset) -> tuple[set[int], set[int]]:
-        """What lies below some element of D, and above some element of U."""
-        below = set().union(*(self.down[a] for a in D))
-        return below, set().union(*(self.up[u] for u in U))
+    def _spans(self, D: int, U: int) -> tuple[int, int]:
+        """The masks of what lies below some point of D, and above some point
+        of U."""
+        below = above = 0
+        for a in _bits(D):
+            below |= self.down[a]
+        for u in _bits(U):
+            above |= self.up[u]
+        return below, above
 
     # -- construction steps
 
@@ -465,31 +498,45 @@ class StageBuilder:
         self._waiting.extend(waiting)  # the waiting demands after the live one
         self._realize(need)
 
-    def _realize(self, need: tuple):
-        x = self.n
-        below, above = self._spans(*need)
-        if above:
-            gap = min(self.pos[u] for u in above)
-        elif below:
-            gap = max(self.pos[y] for y in below) + 1
+    def _realize(self, need: tuple[int, int]):
+        """Add the point x = n above the lower span of D and below the upper
+        span of U (``_spans``).  The extension respects the order, so the
+        first point of the upper span in it is a point of U, and the last of
+        the lower span one of D: x goes just before the first of U, else just
+        after the last of D.  Only the points after x change position."""
+        D, U = need
+        x, bit = self.n, 1 << self.n
+        below, above = self._spans(D, U)
+        down, up, pos, canon = self.down, self.up, self.pos, self.canon
+        for y in _bits(below):
+            up[y] |= bit
+        for u in _bits(above):
+            down[u] |= bit
+        down.append(below | bit)
+        up.append(above | bit)
+        if U:
+            gap = min(pos[u] for u in _bits(U))
+        elif D:
+            gap = max(pos[a] for a in _bits(D)) + 1
         else:
             gap = 0
-        self.down.append(below | {x})
-        self.up.append(above | {x})
-        for y in below:
-            self.up[y].add(x)
-        for u in above:
-            self.down[u].add(x)
-        self.canon.insert(gap, x)
-        self.pos = {e: i for i, e in enumerate(self.canon)}
+        canon.insert(gap, x)
+        pos.update(zip(canon[gap:], range(gap, len(canon))))
 
     # -- snapshots
+
+    def preds(self, n: int) -> list[int]:
+        """Stage n's relation as masks, grown to if need be: pred[b] holds
+        the points of range(n) below b."""
+        self.grow_to(n)
+        R = (1 << n) - 1
+        return [self.down[b] & R & ~(1 << b) for b in range(n)]
 
     def stage(self, n: int) -> PosetStage:
         """Stage n, grown to if need be: the relation and extension on range(n)."""
         self.grow_to(n)
         pairs = frozenset(
-            (a, b) for b in range(n) for a in self.down[b] if a != b and a < n
+            (a, b) for b in range(n) for a in _bits(self.down[b]) if a != b and a < n
         )
         canon = OrderPrefix.from_sequence([e for e in self.canon if e < n])
         return PosetStage(FinitePoset(n, pairs), canon)

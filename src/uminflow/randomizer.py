@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .fraisse import (
     DEFAULT_POSET_CAP,
     DEFAULT_SEARCH_BUDGET,
     OrderPresentation,
     _alternate,
+    _bits,
     _each,
     _scanner,
     _sort_key,
@@ -216,12 +216,47 @@ class ObstructionReport:
 
 
 def stage_automorphisms(n: int, *, cap: int = DEFAULT_POSET_CAP):
-    """All relation-preserving bijections of stage n of the universal poset."""
-    rel = universal_poset_stage(n, cap=cap).stage.relation
-    for perm in permutations(range(n)):
-        if all(((perm[a], perm[b]) in rel) == ((a, b) in rel)
-               for a in range(n) for b in range(n) if a != b):
-            yield PartialPermutation(tuple(enumerate(perm)))
+    """All relation-preserving bijections of stage n of the universal poset,
+    in ``itertools.permutations`` order."""
+    yield from _automorphisms(n, universal_poset_stage(n, cap=cap).stage.relation)
+
+
+def _automorphisms(n: int, relation):
+    """The bijections of range(n) that preserve a relation, given as pairs,
+    both ways, in ``itertools.permutations`` order.
+
+    A partial map is extended point by point.  Point x tries, in increasing
+    order, each unused point y with x's down- and up-degree whose relations
+    to the images of 0..x-1 are those of x to 0..x-1; so each complete map
+    preserves the relation both ways, and the maps come in lexicographic
+    order.
+    """
+    below, above = [0] * n, [0] * n  # per point: the points below it, above it
+    for a, b in relation:
+        below[b] |= 1 << a
+        above[a] |= 1 << b
+    degree = [(below[x].bit_count(), above[x].bit_count()) for x in range(n)]
+    candidates = [[y for y in range(n) if degree[y] == degree[x]] for x in range(n)]
+    image: list[int] = []
+
+    def extend(x: int, used: int):
+        if x == n:
+            yield PartialPermutation(tuple(enumerate(image)))
+            return
+        earlier = (1 << x) - 1
+        want_below = sum(1 << image[a] for a in _bits(below[x] & earlier))
+        want_above = sum(1 << image[a] for a in _bits(above[x] & earlier))
+        for y in candidates[x]:
+            if (
+                not used >> y & 1
+                and below[y] & used == want_below
+                and above[y] & used == want_above
+            ):
+                image.append(y)
+                yield from extend(x + 1, used | 1 << y)
+                image.pop()
+
+    return extend(0, 0)
 
 
 def poset_automorphism_obstruction(

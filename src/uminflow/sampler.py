@@ -23,9 +23,10 @@ from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .fraisse import DEFAULT_POSET_CAP, OrderPresentation, PosetStage, StageBuilder
-from .fraisse import _sort_key
+from .fraisse import _bits, _sort_key
 from .measure import (
     DEFAULT_EXTENSION_CAP,
+    _count_extensions,
     adjacency_clause,
     linear_extension_count,
     mu_adjacency,
@@ -319,6 +320,14 @@ def poset_extension_test(o: OrderPrefix, stage: PosetStage) -> bool:
     return all(o.less(a, b) for a, b in stage.stage.relation)
 
 
+def _stage_level(builder: StageBuilder, N: int) -> tuple[Fraction, list]:
+    """Stage N's extension measure and its relation as sorted pairs, read
+    off the builder's masks."""
+    pred = builder.preds(N)
+    pairs = sorted((a, b) for b, p in enumerate(pred) for a in _bits(p))
+    return Fraction(_count_extensions((1 << N) - 1, pred), factorial(N)), pairs
+
+
 def poset_test_family(
     *,
     poset_cap: int = DEFAULT_POSET_CAP,
@@ -331,11 +340,13 @@ def poset_test_family(
     MLLevelUnavailable once the exact-counting cap or the sample cap is hit.
     Measures decrease with the stage, so every stage below the one a lower
     level j < k chose has measure above 2^-j > 2^-k: the search resumes
-    there.  Asked in order, the levels snapshot and count each stage at most
-    once per family.  The family grows one stage builder of its own, and the
-    search range stops at the poset cap.  A level's event is the And of its
-    stage's relation atoms in sorted order, one part list per stage, each
-    atom made the first time a level reads it.
+    there.  Asked in order, the levels count each stage's extensions at most
+    once per family.  The family grows one stage builder of its own and
+    reads each stage's relation off the builder's masks (``_stage_level``),
+    with no stage object built; the search range stops at the poset cap and
+    at the extension cap.  A level's event is the And of its stage's
+    relation atoms in sorted order, one part list per stage, each atom made
+    the first time a level reads it.
     """
     builder = StageBuilder()
     stages: dict[int, tuple[Fraction, tuple[_Parts, int]]] = {}  # N -> measure, atoms
@@ -346,10 +357,8 @@ def poset_test_family(
         start = max((N for j, N in chosen.items() if j < k), default=1)
         for N in range(start, min(poset_cap, extension_cap, SAMPLE_SIZE_CAP) + 1):
             if N not in stages:
-                stage = builder.stage(N)
-                pairs = sorted(stage.stage.relation)
+                measure, pairs = _stage_level(builder, N)
                 atoms = _Parts(lambda i, pairs=pairs: Atom(FiniteOrder(pairs[i])))
-                measure = poset_level_measure(stage, extension_cap=extension_cap)
                 stages[N] = measure, (atoms, len(pairs))
             measure, atoms = stages[N]
             if measure <= bound:

@@ -334,14 +334,34 @@ def test_step_keeps_the_waiting_demands_in_order():
         [("genesis",), ("pattern", 2, (1, 0)), ("pattern", 2, (0, 2)), ("just_above", 0)]
     )
     b.grow_to(4)
-    assert b.down == [{0}, {0, 1, 3}, {0, 2}, {3}]
+    assert b.down == [0b0001, 0b1011, 0b0101, 0b1000]  # {0}, {0,1,3}, {0,2}, {3}
+    assert b.up == [0b0111, 0b0010, 0b0100, 0b1010]  # {0,1,2}, {1}, {2}, {1,3}
     assert b.canon == [0, 2, 3, 1]
+
+
+def _mask(points) -> int:
+    return sum(1 << p for p in points)
+
+
+def _points(mask: int) -> frozenset:
+    points = []
+    while mask:
+        low = mask & -mask
+        points.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(points)
+
+
+def _mask_need(need):
+    """A reference decision with its need's sets as masks."""
+    return (_mask(need[0]), _mask(need[1])) if need else need
 
 
 def _reference_decision(n, pos, down, up, demand):
     """A demand's decision by a full witness scan: every need carries its
     domain size and incomparable set, and every point is tested as a
-    witness."""
+    witness.  Works on sets: a pattern or neighbour demand reads the
+    builder's masks as sets first."""
     kind, *args = demand
     if kind == "between":
         u, v = args
@@ -352,6 +372,7 @@ def _reference_decision(n, pos, down, up, demand):
         s = args[0] if kind == "pattern" else args[0] + 1 if args else 0
         if s > n:
             return None
+        down, up = list(map(_points, down)), list(map(_points, up))
         R = frozenset(range(s))
         if kind == "pattern":
             D = frozenset(i for i in R if args[1][i] == 1)
@@ -386,7 +407,7 @@ def test_decisions_match_the_witness_scan_reference(monkeypatch):
     def checked(self, demand):
         got = decide(self, demand)
         want = _reference_decision(self.n, self.pos, self.down, self.up, demand)
-        assert got == want, (self.n, demand)
+        assert got == _mask_need(want), (self.n, demand)
         kinds[demand[0]] += 1
         outcomes["live" if got else got] += 1
         return got
@@ -432,7 +453,7 @@ def test_between_demands_are_never_live():
         if demand[0] == "between":
             assert not got, (b.n, demand)
             decided += got is False
-        return got
+        return _mask_need(got)
 
     b._stream, b._decide = _stream_with_between_demands(), decide
     b.grow_to(500)

@@ -342,6 +342,45 @@ def test_obstruction_refuses_before_searching_automorphisms(monkeypatch):
     assert (err.value.cap, err.value.limit, err.value.requested) == ("extension", 16, 17)
 
 
+def _brute_automorphisms(n, rel):
+    """Every permutation of range(n) that preserves the relation both ways."""
+    from itertools import permutations
+
+    return [
+        PartialPermutation(tuple(enumerate(perm)))
+        for perm in permutations(range(n))
+        if all(((perm[a], perm[b]) in rel) == ((a, b) in rel)
+               for a in range(n) for b in range(n) if a != b)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda p: p[0] != p[1]), max_size=12) if n > 1 else st.just(set()),
+)))
+def test_automorphism_search_matches_brute_force(case):
+    # relations with many symmetries too: sparse ones on 8 points have
+    # thousands of automorphisms, all found in permutations order
+    n, rel = case
+    assert list(randomizer._automorphisms(n, rel)) == _brute_automorphisms(n, rel)
+
+
+def test_stage_automorphisms_match_brute_force():
+    for n in range(9):
+        rel = universal_poset_stage(n).stage.relation
+        assert list(stage_automorphisms(n)) == _brute_automorphisms(n, rel)
+    assert list(randomizer._automorphisms(8, set())) == _brute_automorphisms(8, set())
+
+
+def test_obstruction_at_the_extension_cap():
+    # the search extends partial maps, so stage 16 is not a 16! scan
+    report = poset_automorphism_obstruction(16)
+    assert (report.automorphism_count, report.all_trapped) == (1, True)
+    assert report.event_measure == poset_level_measure(universal_poset_stage(16))
+
+
 def test_obstruction_stage_six():
     report = poset_automorphism_obstruction(6)
     assert report.all_trapped

@@ -39,7 +39,8 @@ from uminflow import (
     universal_poset_stage,
 )
 from uminflow.cli import main
-from uminflow.fraisse import StageBuilder
+from uminflow import sampler
+from uminflow.fraisse import PosetStage, StageBuilder
 from uminflow.sampler import _digest, code_pair
 
 
@@ -349,21 +350,44 @@ def test_lazy_view_derives_only_compared_keys():
     assert len(stream._keys) < 100
 
 
-def test_poset_family_snapshots_each_stage_once(monkeypatch, capsys):
-    snapshots = Counter()  # (builder, N) -> calls of builder.stage(N)
-    stage = StageBuilder.stage
+def test_poset_family_counts_each_stage_once(monkeypatch, capsys):
+    # each stage's extensions are counted once per family, read off the
+    # builder's masks: the family builds no PosetStage
+    counted = Counter()  # stage size -> extension counts in this run
+    count = sampler._count_extensions
 
-    def counted(builder, n):
-        snapshots[builder, n] += 1
-        return stage(builder, n)
+    def counting(full, pred):
+        counted[full.bit_count()] += 1
+        return count(full, pred)
 
-    monkeypatch.setattr(StageBuilder, "stage", counted)
+    def no_stage(self):
+        raise AssertionError("the family built a PosetStage")
+
+    monkeypatch.setattr(sampler, "_count_extensions", counting)
+    monkeypatch.setattr(PosetStage, "__post_init__", no_stage)
     for seed in (0, 1, 2):
+        counted.clear()
         argv = ["test", "--seed", str(seed), "--depth", "9", "--families", "poset"]
         assert main(argv) == 0
+        assert len(counted) > 5 and set(counted.values()) == {1}
     assert "poset-extension" in capsys.readouterr().out
-    assert len({b for b, _ in snapshots}) == 3 and len(snapshots) > 3 * 5
-    assert max(snapshots.values()) == 1
+
+
+def test_poset_family_stages_equal_the_stage_snapshots():
+    builder = StageBuilder()
+    for N in range(1, 17):
+        stage = universal_poset_stage(N)
+        measure, pairs = sampler._stage_level(builder, N)
+        assert measure == poset_level_measure(stage)
+        assert pairs == sorted(stage.stage.relation)
+    fam = poset_test_family()
+    for k in range(1, 23):
+        lvl = fam.level(k)
+        stage = universal_poset_stage(lvl.window)
+        assert lvl.exact_measure == poset_level_measure(stage)
+        assert lvl.event == And(
+            tuple(Atom(FiniteOrder(p)) for p in sorted(stage.stage.relation))
+        )
 
 
 def test_stream_order_view_covers_its_window():
