@@ -23,6 +23,10 @@ keep their indices sorted by key.  The rational pickers work on int pairs.
 Every consumer orders a presentation's points by one sort key, their
 values float first (``_sort_key``).  ``_values`` gives those values: the
 presentation's ``value_fn``, or else rationals read off its comparisons.
+
+``poset_extension_audit`` tries 4^|base| assignments, each against up to
+``witness_bound`` points: the bound is at most the poset cap and holds every
+base point, but nothing bounds |base|, as a repeated point counts again.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from math import gcd, inf
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .measure import CapExceededError, FinitePoset
+from .measure import CapExceededError, FinitePoset, _bits
 from .orders import OrderPrefix, PartialPermutation
 
 DEFAULT_POSET_CAP = 64
@@ -330,7 +334,6 @@ def _valid_witness(z: int, A: set[int], B: set[int]) -> bool:
 # mask D and below exactly those of U among R:
 #
 #   "pattern s, p"   D and U read from p (1 below the point, 2 above it)
-#   "genesis"        the first point, s = 0
 #   "just_above e"   a point directly above e in the linear extension:
 #                    s = e + 1 and D = down[e] & R
 #   "just_below e"   the dual: U = up[e] & R
@@ -352,7 +355,7 @@ def _valid_witness(z: int, A: set[int], B: set[int]) -> bool:
 # at most m points (the full pools name at most 4, and the tail starts at
 # 5 and grows logarithmically).  A witness x > m that exists by then
 # realized a demand read earlier, as once m exists no later demand is
-# decided first.  The point of genesis or just_below e starts with nothing
+# decided first.  The first point, or just_below e's, starts with nothing
 # below it.  The point of just_above e (e < m) or of a pattern over s <= m
 # points lies above m only through some a < m below it, with m below a;
 # but a witness of just_above m has m's lower set among {0..m}, so a lies
@@ -365,14 +368,6 @@ def _valid_witness(z: int, A: set[int], B: set[int]) -> bool:
 
 _FULL_PATTERN_ROUNDS = 4
 _TAIL_CHUNK = 2
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The points of a mask, least first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _grade_patterns(s: int) -> Iterator[tuple[int, ...]]:
@@ -394,7 +389,7 @@ def _tail_patterns() -> Iterator[tuple[str, int, tuple[int, ...]]]:
 
 
 def _demand_stream() -> Iterator[tuple]:
-    yield ("genesis",)
+    yield ("pattern", 0, ())
     tail = _tail_patterns()
     for r in count(1):
         e = r - 1
@@ -446,8 +441,8 @@ class StageBuilder:
         kind, *args = demand
         if kind == "pattern":
             s = args[0]
-        else:  # genesis; just_above e and just_below e
-            s = args[0] + 1 if args else 0
+        else:  # just_above e and just_below e
+            s = args[0] + 1
         if s > self.n:
             return None
         R = (1 << s) - 1
@@ -526,20 +521,17 @@ class StageBuilder:
     # -- snapshots
 
     def preds(self, n: int) -> list[int]:
-        """Stage n's relation as masks, grown to if need be: pred[b] holds
-        the points of range(n) below b."""
+        """Stage n's relation as closed masks, grown to if need be: pred[b]
+        holds the points of range(n) below b, as in ``FinitePoset.pred``."""
         self.grow_to(n)
         R = (1 << n) - 1
         return [self.down[b] & R & ~(1 << b) for b in range(n)]
 
     def stage(self, n: int) -> PosetStage:
         """Stage n, grown to if need be: the relation and extension on range(n)."""
-        self.grow_to(n)
-        pairs = frozenset(
-            (a, b) for b in range(n) for a in _bits(self.down[b]) if a != b and a < n
-        )
+        pred = tuple(self.preds(n))
         canon = OrderPrefix.from_sequence([e for e in self.canon if e < n])
-        return PosetStage(FinitePoset(n, pairs), canon)
+        return PosetStage(FinitePoset(pred), canon)
 
     def canon_less(self, a: int, b: int) -> bool:
         self.grow_to(max(a, b) + 1)
@@ -554,9 +546,8 @@ class PosetStage:
     canon: OrderPrefix
 
     def __post_init__(self):
-        for a, b in self.stage.relation:
-            if not self.canon.less(a, b):
-                raise ValueError(f"extension violates {a} < {b}")
+        if self.canon.n != self.stage.n or not poset_extension_test(self.canon, self):
+            raise ValueError(f"canon of size {self.canon.n} does not extend the poset")
 
     def to_json(self) -> dict:
         return {
@@ -564,6 +555,21 @@ class PosetStage:
             "pairs": sorted(self.stage.relation),
             "canon": self.canon.to_sequence(),
         }
+
+
+def poset_extension_test(o: OrderPrefix, stage: PosetStage) -> bool:
+    """Whether the prefix linearly extends a stage of the universal poset:
+    read in its order, each point of the stage follows its predecessor mask."""
+    pred = stage.stage.pred
+    N = len(pred)
+    if o.n < N:
+        raise ValueError(f"prefix of size {o.n} cannot be tested against stage {N}")
+    placed = 0
+    for x in sorted(range(N), key=o.rank.__getitem__):
+        if pred[x] & ~placed:
+            return False
+        placed |= 1 << x
+    return True
 
 
 def universal_poset_stage(N: int, *, cap: int = DEFAULT_POSET_CAP) -> PosetStage:
@@ -574,6 +580,8 @@ def universal_poset_stage(N: int, *, cap: int = DEFAULT_POSET_CAP) -> PosetStage
     """
     if N > cap:
         raise CapExceededError(f"stage {N} exceeds poset cap {cap}", "poset", cap, N)
+    if N < 0:
+        raise ValueError(f"poset size must be non-negative, got {N}")
     return StageBuilder().stage(N)
 
 
@@ -611,44 +619,35 @@ def poset_extension_audit(
     *,
     cap: int = DEFAULT_POSET_CAP,
 ) -> ExtensionAudit:
-    """Check that every admissible demand (A, B, Z) over the base elements is
-    realized by some point below the witness bound."""
+    """Check that every admissible demand (A, B, Z) over the base points,
+    which must lie below the witness bound, is realized by a point x below
+    it: A below x below B, Z unrelated to x.  Admissible: A below B, and no
+    point of Z below A or above B."""
     base = tuple(sorted(base))
-    stage = universal_poset_stage(witness_bound, cap=cap)
-    rel = stage.stage.relation
+    for x in base:
+        if not 0 <= x < witness_bound:
+            raise ValueError(f"base point {x} outside range({witness_bound})")
+    less = universal_poset_stage(witness_bound, cap=cap).stage.less
     checked = 0
     unrealized = []
     for assignment in product((0, 1, 2, 3), repeat=len(base)):
-        A = {e for e, a in zip(base, assignment) if a == 1}
-        B = {e for e, a in zip(base, assignment) if a == 2}
-        Z = {e for e, a in zip(base, assignment) if a == 3}
-        if not _demand_admissible(A, B, Z, rel):
+        A, B, Z = ({e for e, a in zip(base, assignment) if a == k} for k in (1, 2, 3))
+        if not (
+            all(less(a, b) for a in A for b in B)
+            and not any(less(z, a) for a in A for z in Z)
+            and not any(less(b, z) for b in B for z in Z)
+        ):
             continue
         checked += 1
-        witness = None
-        for x in range(witness_bound):
-            if x in A | B | Z:
-                continue
-            if (
-                all((a, x) in rel for a in A)
-                and all((x, b) in rel for b in B)
-                and all((z, x) not in rel and (x, z) not in rel for z in Z)
-            ):
-                witness = x
-                break
-        if witness is None:
+        if not any(
+            x not in A | B | Z
+            and all(less(a, x) for a in A)
+            and all(less(x, b) for b in B)
+            and not any(less(z, x) or less(x, z) for z in Z)
+            for x in range(witness_bound)
+        ):
             unrealized.append((tuple(sorted(A)), tuple(sorted(B)), tuple(sorted(Z))))
     return ExtensionAudit(base, witness_bound, checked, tuple(unrealized))
-
-
-def _demand_admissible(A: set, B: set, Z: set, rel: frozenset) -> bool:
-    if not all((a, b) in rel for a in A for b in B):
-        return False
-    if any((z, a) in rel for a in A for z in Z):
-        return False
-    if any((b, z) in rel for b in B for z in Z):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

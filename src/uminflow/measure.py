@@ -29,6 +29,13 @@ independent computation paths are provided:
 
 Positive conjunctions and posets are measured by counting linear extensions
 with a dynamic program over the downsets reachable from the empty set.
+
+Exponential work: ``mu_exact`` visits |support|! orders, after the support
+cap is checked.  The weight route's three exponential steps have no bound:
+``_dnf`` multiplies out every And before the union cap sees the list,
+``_mu_union`` visits up to 2^k intersections of the k minimal terms (k within
+the union cap), each with a peel, and each peel leaf runs the downset DP over
+up to 2^|named| states, with no cap on |named|.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from typing import Iterator
 
 from .orders import (
     And,
@@ -86,65 +94,67 @@ class DyadicApprox:
         return f"{self.numerator}/2^{self.exponent}"
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The points of a mask, least first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class FinitePoset:
-    """A strict partial order on {0, ..., n-1}, stored transitively closed."""
+    """A strict partial order on {0, ..., n-1} as transitively closed
+    predecessor masks: bit a of ``pred[b]`` is set iff a < b, n = len(pred).
+    Each mask lies in range(n) without its own point and holds pred[a] for
+    each a in it, so no cycle (a point below itself) can occur."""
 
-    n: int
-    relation: frozenset[tuple[int, int]]
+    pred: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"poset size must be non-negative, got {self.n}")
-        rel = self.relation
-        succ: dict[int, set[int]] = {}
-        for a, b in rel:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"pair ({a}, {b}) outside range({self.n})")
-            if a == b:
-                raise ValueError(f"relation is not irreflexive: ({a}, {b})")
-            if (b, a) in rel:
-                raise ValueError(f"relation is not antisymmetric: ({a}, {b})")
-            succ.setdefault(a, set()).add(b)
-        empty: set[int] = set()
-        for a, bs in succ.items():
-            for b in bs:
-                if not succ.get(b, empty) <= bs:
-                    raise ValueError(f"relation is not transitive below {a}")
+        n, pred = len(self.pred), self.pred
+        for b, p in enumerate(pred):
+            if p >> n or p >> b & 1:  # also when p < 0
+                raise ValueError(f"mask {p} of {b} leaves range({n}) or holds {b}")
+            if any(pred[a] & ~p for a in _bits(p)):
+                raise ValueError(f"relation is not transitive below {b}")
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "FinitePoset":
-        """Transitively close the given strict pairs; reject cycles."""
-        succ = [set() for _ in range(n)]
+        """Close strict pairs on range(n) by Warshall's algorithm on masks;
+        reject cycles and pairs outside range(n)."""
+        if n < 0:
+            raise ValueError(f"poset size must be non-negative, got {n}")
+        pred = [0] * n
         for a, b in pairs:
-            succ[a].add(b)
-        closed = [set(s) for s in succ]
-        changed = True
-        while changed:
-            changed = False
-            for a in range(n):
-                extra = set()
-                for b in closed[a]:
-                    extra |= closed[b] - closed[a]
-                if extra:
-                    closed[a] |= extra
-                    changed = True
-        rel = frozenset((a, b) for a in range(n) for b in closed[a])
-        return cls(n, rel)
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"pair ({a}, {b}) outside range({n})")
+            pred[b] |= 1 << a
+        for k in range(n):  # now every path through points 0..k is closed
+            pred = [p | pred[k] if p >> k & 1 else p for p in pred]
+        return cls(tuple(pred))
 
     @classmethod
     def chain(cls, n: int) -> "FinitePoset":
-        return cls(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        return cls.from_pairs(n, zip(range(n), range(1, n)))
 
     @classmethod
     def antichain(cls, n: int) -> "FinitePoset":
-        return cls(n, frozenset())
+        return cls.from_pairs(n, ())
+
+    @property
+    def n(self) -> int:
+        return len(self.pred)
+
+    @property
+    def relation(self) -> frozenset[tuple[int, int]]:  # the pairs (a, b), a < b
+        return frozenset((a, b) for b, p in enumerate(self.pred) for a in _bits(p))
 
     def less(self, a: int, b: int) -> bool:
-        return (a, b) in self.relation
+        return 0 <= a and 0 <= b < self.n and self.pred[b] >> a & 1 == 1
 
     def is_antichain(self) -> bool:
-        return not self.relation
+        return not any(self.pred)
 
 
 def mu_cylinder(l: FiniteOrder) -> Fraction:
@@ -541,7 +551,4 @@ def linear_extension_count(
     if p.n > cap:
         message = f"poset size {p.n} exceeds extension-count cap {cap}"
         raise CapExceededError(message, "extension", cap, p.n)
-    pred = [0] * p.n
-    for a, b in p.relation:
-        pred[b] |= 1 << a
-    return _count_extensions((1 << p.n) - 1, pred)
+    return _count_extensions((1 << p.n) - 1, p.pred)

@@ -16,6 +16,11 @@ the images of a point's nearest mapped neighbours (found by bisecting sorted
 keys): the pickers scan that interval with no record of taken indices.
 Verification and the conjugation check sort a map's domain by tau's sort
 key and check that its images rise (``_carries``).
+
+The automorphism search (``_automorphisms``) has no bound of its own: on an
+antichain of n points all n! maps are automorphisms.  ``stage_automorphisms``
+is bounded only by the poset cap, and ``poset_automorphism_obstruction``
+checks the extension cap first.  Stage 16 has one automorphism.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .fraisse import (
     _scanner,
     _sort_key,
     _values,
+    poset_extension_test,
     universal_poset_stage,
 )
 from .measure import DEFAULT_EXTENSION_CAP
@@ -218,12 +224,13 @@ class ObstructionReport:
 def stage_automorphisms(n: int, *, cap: int = DEFAULT_POSET_CAP):
     """All relation-preserving bijections of stage n of the universal poset,
     in ``itertools.permutations`` order."""
-    yield from _automorphisms(n, universal_poset_stage(n, cap=cap).stage.relation)
+    yield from _automorphisms(universal_poset_stage(n, cap=cap).stage.pred)
 
 
-def _automorphisms(n: int, relation):
-    """The bijections of range(n) that preserve a relation, given as pairs,
-    both ways, in ``itertools.permutations`` order.
+def _automorphisms(below: tuple[int, ...]):
+    """The bijections of range(n), n = len(below), that preserve a relation
+    both ways, in ``itertools.permutations`` order; ``below[b]`` masks the
+    points related to b, as ``FinitePoset.pred`` does for a poset.
 
     A partial map is extended point by point.  Point x tries, in increasing
     order, each unused point y with x's down- and up-degree whose relations
@@ -231,10 +238,11 @@ def _automorphisms(n: int, relation):
     preserves the relation both ways, and the maps come in lexicographic
     order.
     """
-    below, above = [0] * n, [0] * n  # per point: the points below it, above it
-    for a, b in relation:
-        below[b] |= 1 << a
-        above[a] |= 1 << b
+    n = len(below)
+    above = [0] * n  # per point: the points above it
+    for b, p in enumerate(below):
+        for a in _bits(p):
+            above[a] |= 1 << b
     degree = [(below[x].bit_count(), above[x].bit_count()) for x in range(n)]
     candidates = [[y for y in range(n) if degree[y] == degree[x]] for x in range(n)]
     image: list[int] = []
@@ -273,13 +281,6 @@ def poset_automorphism_obstruction(
     stage = universal_poset_stage(n, cap=cap)
     # measured first: the extension cap refuses before the n! search below
     measure = poset_level_measure(stage, extension_cap=extension_cap)
-    rel = stage.stage.relation
-    canon = stage.canon
-    total = 0
-    trapped = 0
-    for g in stage_automorphisms(n, cap=cap):
-        total += 1
-        image = act(g, canon)
-        if all(image.less(a, b) for a, b in rel):
-            trapped += 1
-    return ObstructionReport(n, total, trapped, measure)
+    automorphisms = _automorphisms(stage.stage.pred)
+    trapped = [poset_extension_test(act(g, stage.canon), stage) for g in automorphisms]
+    return ObstructionReport(n, len(trapped), sum(trapped), measure)

@@ -23,7 +23,7 @@ from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .fraisse import DEFAULT_POSET_CAP, OrderPresentation, PosetStage, StageBuilder
-from .fraisse import _bits, _sort_key
+from .fraisse import _bits, _sort_key, poset_extension_test  # noqa: F401 - re-exported
 from .measure import (
     DEFAULT_EXTENSION_CAP,
     _count_extensions,
@@ -310,14 +310,6 @@ def poset_level_measure(
     """Exact measure of the event of extending a stage of the universal poset."""
     count = linear_extension_count(stage.stage, cap=extension_cap)
     return Fraction(count, factorial(stage.stage.n))
-
-
-def poset_extension_test(o: OrderPrefix, stage: PosetStage) -> bool:
-    """Whether the prefix linearly extends a stage of the universal poset."""
-    N = stage.stage.n
-    if o.n < N:
-        raise ValueError(f"prefix of size {o.n} cannot be tested against stage {N}")
-    return all(o.less(a, b) for a, b in stage.stage.relation)
 
 
 def _stage_level(builder: StageBuilder, N: int) -> tuple[Fraction, list]:

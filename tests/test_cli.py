@@ -416,6 +416,13 @@ def test_readme_command_block_runs(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, argv
 
 
+def test_readme_python_tour_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "fails level 1\n"  # as the tour says
+
+
 # -- the subcommand parser against the full one
 
 

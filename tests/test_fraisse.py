@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 from uminflow import (
     CapExceededError,
+    FinitePoset,
+    OrderPrefix,
     OrderPresentation,
+    PosetStage,
     SearchBudgetError,
     back_and_forth,
     check_density,
@@ -331,7 +334,8 @@ def test_step_keeps_the_waiting_demands_in_order():
     # the second must still wait, to be realized by point 3
     b = StageBuilder()
     b._stream = iter(
-        [("genesis",), ("pattern", 2, (1, 0)), ("pattern", 2, (0, 2)), ("just_above", 0)]
+        [("pattern", 0, ()), ("pattern", 2, (1, 0)), ("pattern", 2, (0, 2)),
+         ("just_above", 0)]
     )
     b.grow_to(4)
     assert b.down == [0b0001, 0b1011, 0b0101, 0b1000]  # {0}, {0,1,3}, {0,2}, {3}
@@ -369,7 +373,7 @@ def _reference_decision(n, pos, down, up, demand):
             return None
         need = (u, v) if pos[u] < pos[v] else False
     else:
-        s = args[0] if kind == "pattern" else args[0] + 1 if args else 0
+        s = args[0] if kind == "pattern" else args[0] + 1
         if s > n:
             return None
         down, up = list(map(_points, down)), list(map(_points, up))
@@ -415,7 +419,7 @@ def test_decisions_match_the_witness_scan_reference(monkeypatch):
     kinds, outcomes = Counter(), Counter()
     monkeypatch.setattr(StageBuilder, "_decide", checked)
     StageBuilder().grow_to(500)
-    assert set(kinds) == {"genesis", "just_above", "just_below", "pattern"}
+    assert set(kinds) == {"just_above", "just_below", "pattern"}
     assert set(outcomes) == {None, False, "live"}
 
 
@@ -423,7 +427,7 @@ def _stream_with_between_demands():
     """The demand stream as it was with "between u, v" demands, each asking
     for a point strictly between u and v in the extension, related to
     nothing, from round 11 on."""
-    yield ("genesis",)
+    yield ("pattern", 0, ())
     tail = fraisse._tail_patterns()
     for r in count(1):
         e = r - 1
@@ -518,6 +522,40 @@ def test_one_point_extension_audit():
     audit = poset_extension_audit(range(4), witness_bound=160, cap=200)
     assert audit.demands_checked > 50
     assert audit.complete, audit.unrealized
+    default = poset_extension_audit()
+    assert (default.demands_checked, default.complete) == (104, True)
+
+
+@pytest.mark.parametrize("base, point", [([100], 100), ([-1, 0], -1), ([0, 64], 64)])
+def test_extension_audit_refuses_a_base_point_outside_the_stage(base, point):
+    # such a point was reported as two unrealized demands over a point that
+    # is not in the stage
+    with pytest.raises(ValueError, match=rf"base point {point} outside range\(64\)"):
+        poset_extension_audit(base, witness_bound=64)
+
+
+def test_demand_stream_starts_with_the_empty_pattern():
+    # the first point realizes the pattern over no points: nothing below or
+    # above it
+    assert next(fraisse._demand_stream()) == ("pattern", 0, ())
+    b = StageBuilder()
+    assert b._decide(("pattern", 0, ())) == (0, 0)
+    b.grow_to(1)
+    assert b._decide(("pattern", 0, ())) is False
+
+
+def test_poset_stage_refuses_a_canon_of_another_size():
+    # a longer canon was accepted and written out, a shorter one raised
+    # IndexError
+    chain = FinitePoset.chain(2)
+    for seq in ([0, 1, 2], [0]):
+        with pytest.raises(ValueError, match=f"canon of size {len(seq)}"):
+            PosetStage(chain, OrderPrefix.from_sequence(seq))
+    with pytest.raises(ValueError, match="canon of size 2 does not extend"):
+        PosetStage(chain, OrderPrefix.from_sequence([1, 0]))
+    assert PosetStage(chain, OrderPrefix.from_sequence([0, 1])).to_json() == {
+        "n": 2, "pairs": [(0, 1)], "canon": [0, 1]
+    }
 
 
 def test_canon_presentation_is_dense_at_small_scale():

@@ -199,14 +199,19 @@ def test_cap_refusal_carries_its_numbers(cap, limit, requested, message, trigger
 
 
 def test_poset_validation():
+    # masks: pred[b] holds the points below b
     with pytest.raises(ValueError):
-        FinitePoset(2, frozenset({(0, 1), (1, 0)}))
+        FinitePoset((0b10, 0b01))  # 1 < 0 and 0 < 1
     with pytest.raises(ValueError):
-        FinitePoset(2, frozenset({(0, 0)}))
+        FinitePoset((0b1, 0))  # 0 < 0
     with pytest.raises(ValueError):
-        FinitePoset(3, frozenset({(0, 1), (1, 2)}))  # missing (0, 2)
+        FinitePoset((0, 0b01, 0b10))  # 0 < 1 < 2, missing 0 < 2
+    for outside in ((0b100, 0), (0, -1)):  # a bit at 2, or every bit
+        with pytest.raises(ValueError):
+            FinitePoset(outside)
     with pytest.raises(ValueError):
         FinitePoset.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
+    assert FinitePoset((0, 0b01, 0b11)).relation == {(0, 1), (0, 2), (1, 2)}
 
 
 @pytest.mark.parametrize("n", [-1, -2])
@@ -214,10 +219,95 @@ def test_poset_refuses_a_negative_size(n):
     # stage -2 had a poset of size -2 and an empty extension, and counting
     # the extensions of a negative size raised "negative shift count"
     message = f"poset size must be non-negative, got {n}"
+    for build in (FinitePoset.antichain, FinitePoset.chain, universal_poset_stage):
+        with pytest.raises(ValueError, match=message):
+            build(n)
     with pytest.raises(ValueError, match=message):
-        FinitePoset(n, frozenset())
+        FinitePoset.from_pairs(n, ())
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 5), (3, 0), (0, -3)])
+def test_from_pairs_refuses_a_pair_outside_the_points(pair):
+    # (-1, 0) wrapped round to the pair (2, 0), and (0, 5) raised IndexError
+    message = rf"pair \({pair[0]}, {pair[1]}\) outside range\(3\)"
     with pytest.raises(ValueError, match=message):
-        universal_poset_stage(n)
+        FinitePoset.from_pairs(3, [(0, 1), pair])
+
+
+def _closure_by_fixpoint(n, pairs):
+    """Reference closure on sets: grow each point's successor set by its
+    successors' sets until none changes, then list the pairs."""
+    succ = [set() for _ in range(n)]
+    for a, b in pairs:
+        succ[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            extra = set()
+            for b in succ[a]:
+                extra |= succ[b] - succ[a]
+            if extra:
+                succ[a] |= extra
+                changed = True
+    return frozenset((a, b) for a in range(n) for b in succ[a])
+
+
+def _pairs_form_a_poset(n, rel) -> bool:
+    """Reference validation on pairs: inside range(n), irreflexive,
+    antisymmetric and transitive."""
+    succ: dict[int, set[int]] = {}
+    for a, b in rel:
+        if not (0 <= a < n and 0 <= b < n) or a == b or (b, a) in rel:
+            return False
+        succ.setdefault(a, set()).add(b)
+    return all(succ.get(b, set()) <= bs for bs in succ.values() for b in bs)
+
+
+def _small_relations(max_size=16):
+    return st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=max_size) if n else st.just([]),
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_relations())
+def test_from_pairs_matches_the_set_fixpoint(case):
+    n, pairs = case
+    want = _closure_by_fixpoint(n, pairs)
+    cyclic = any((a, a) in want for a in range(n))
+    if cyclic:
+        with pytest.raises(ValueError):
+            FinitePoset.from_pairs(n, pairs)
+    else:
+        assert FinitePoset.from_pairs(n, pairs).relation == want
+    assert _pairs_form_a_poset(n, want) == (not cyclic)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_relations(), st.data())
+def test_mask_validation_matches_the_pair_validation(case, data):
+    # a closed relation with at most one bit flipped, often a valid poset
+    # and often one pair away from one, or random masks; bit n of a mask
+    # lies outside range(n)
+    n, pairs = case
+    closed = _closure_by_fixpoint(n, [(a, b) for a, b in pairs if a < b])
+    pred = [sum(1 << a for a, b in closed if b == x) for x in range(n)]
+    if n:
+        flip = data.draw(st.none() | st.integers(0, n * (n + 1) - 1))
+        if flip is not None:
+            pred[flip // (n + 1)] ^= 1 << flip % (n + 1)
+    masks = st.lists(st.integers(0, (1 << n + 1) - 1), min_size=n, max_size=n)
+    pred = data.draw(st.just(pred) | masks)  # or a random mask tuple
+    rel = {(a, b) for b, p in enumerate(pred) for a in range(n + 1) if p >> a & 1}
+    try:
+        FinitePoset(tuple(pred))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _pairs_form_a_poset(n, rel)
 
 
 def test_additivity_on_disjoint_events():

@@ -336,10 +336,31 @@ def test_obstruction_refuses_before_searching_automorphisms(monkeypatch):
     def search(*args, **kwargs):
         raise AssertionError("searched the 17! candidate maps")
 
-    monkeypatch.setattr(randomizer, "stage_automorphisms", search)
+    monkeypatch.setattr(randomizer, "_automorphisms", search)
     with pytest.raises(CapExceededError) as err:
         poset_automorphism_obstruction(17)
     assert (err.value.cap, err.value.limit, err.value.requested) == ("extension", 16, 17)
+
+
+def test_obstruction_builds_its_stage_once(monkeypatch):
+    # the automorphisms are searched on the stage already built, not on a
+    # second one
+    calls = []
+
+    def counted(n, **kwargs):
+        calls.append(n)
+        return universal_poset_stage(n, **kwargs)
+
+    monkeypatch.setattr(randomizer, "universal_poset_stage", counted)
+    report = poset_automorphism_obstruction(8)
+    assert calls == [8]
+    assert report.all_trapped
+
+
+def _masks(n, rel):
+    """A relation's pairs as the masks ``_automorphisms`` reads: bit a of
+    entry b is set iff (a, b) is a pair."""
+    return tuple(sum(1 << a for a, b in rel if b == x) for x in range(n))
 
 
 def _brute_automorphisms(n, rel):
@@ -364,14 +385,15 @@ def test_automorphism_search_matches_brute_force(case):
     # relations with many symmetries too: sparse ones on 8 points have
     # thousands of automorphisms, all found in permutations order
     n, rel = case
-    assert list(randomizer._automorphisms(n, rel)) == _brute_automorphisms(n, rel)
+    got = list(randomizer._automorphisms(_masks(n, rel)))
+    assert got == _brute_automorphisms(n, rel)
 
 
 def test_stage_automorphisms_match_brute_force():
     for n in range(9):
         rel = universal_poset_stage(n).stage.relation
         assert list(stage_automorphisms(n)) == _brute_automorphisms(n, rel)
-    assert list(randomizer._automorphisms(8, set())) == _brute_automorphisms(8, set())
+    assert list(randomizer._automorphisms((0,) * 8)) == _brute_automorphisms(8, set())
 
 
 def test_obstruction_at_the_extension_cap():
