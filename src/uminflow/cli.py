@@ -71,7 +71,7 @@ def _caps_from_env(args) -> dict[str, int]:
     raw = os.environ.get("UMINFLOW_CAPS", "")
     for item in filter(None, (part.strip() for part in raw.split(","))):
         key, _, value = item.partition("=")
-        if key not in caps or not value.isdigit():
+        if key not in caps or not value.isdecimal():
             raise ValueError(f"bad UMINFLOW_CAPS entry {item!r}")
         caps[key] = int(value)
     return caps

@@ -8,13 +8,14 @@ independent computation paths are provided:
   the event, every one of them.  The count is bit-parallel: bit p of a
   Python int stands for the p-th permutation of ``range(w)`` in
   ``itertools.permutations`` order, so one int holds an event's members
-  among all w! orders and ``Not``, ``And`` and ``Or`` are one ``^``, ``&``
-  or ``|`` each.  The width w is at most ``BLOCK_WIDTH`` = 8; on a larger
-  support the leading ranks are fixed one assignment at a time and the
-  last 8 are counted in a block, so no mask is longer than 8! bits at any
-  support cap.
+  among all w! orders.  They are found by ``orders._event_mask``, the walk
+  that ``evaluate`` runs on a single order, with ``Not``, ``And`` and
+  ``Or`` one ``^``, ``&`` or ``|`` each.  The width w is at most
+  ``BLOCK_WIDTH`` = 8; on a larger support the leading ranks are fixed one
+  assignment at a time and the last 8 are counted in a block, so no mask is
+  longer than 8! bits at any support cap.
 - ``mu_weight_recursive`` rewrites the event as a union of conjunctions, each
-  a pair of masks over atom ids (the ids number the distinct atoms in sorted
+  a pair of masks over atom ids (the ids number the distinct leaves in sorted
   order), keeps only the minimal ones, measures the union by
   inclusion-exclusion and each conjunction by peeling negated atoms.  The
   cylinders' precedence is carried down the peel as transitively closed
@@ -49,11 +50,12 @@ from typing import Iterator
 
 from .orders import (
     And,
-    Atom,
     EventExpr,
     FiniteOrder,
     Not,
     Or,
+    _event_mask,
+    _leaves,
     support,
 )
 
@@ -255,48 +257,14 @@ def _position_masks(w: int) -> list[list[int]]:
     return table
 
 
-def _event_mask(e: EventExpr, index: dict[int, int], less, full: int) -> int:
-    """The orders of one block inside the event, as a mask; ``less(i, j)`` is
-    the mask of r[i] < r[j] for support indices i and j."""
-    if isinstance(e, Atom):
-        m = full
-        es = e.order.elements
-        for a, b in zip(es, es[1:]):
-            m &= less(index[a], index[b])
-        return m
-    if isinstance(e, Not):
-        return full ^ _event_mask(e.child, index, less, full)
-    if isinstance(e, And):
-        m = full
-        for c in e.children:
-            m &= _event_mask(c, index, less, full)
-            if not m:
-                break
-        return m
-    if isinstance(e, Or):
-        m = 0
-        for c in e.children:
-            m |= _event_mask(c, index, less, full)
-            if m == full:
-                break
-        return m
-    raise TypeError(f"not an event expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Weight recursion over signed conjunctions
 
 
 def _atom_ids(e: EventExpr) -> dict[tuple[int, ...], int]:
-    """Each distinct atom's elements mapped to its id bit 1 << i, where i is
-    the atom's place among them in sorted order."""
-    found, stack = set(), [e]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Atom):
-            found.add(e.order.elements)
-        else:
-            stack.extend((e.child,) if isinstance(e, Not) else e.children)
+    """Each distinct leaf's elements mapped to its id bit 1 << i, where i is
+    the leaf's place among them in sorted order."""
+    found = {leaf.elements for leaf in _leaves(e)}
     return {es: 1 << i for i, es in enumerate(sorted(found))}
 
 
@@ -305,8 +273,8 @@ def _dnf(e: EventExpr, positive: bool, ids: dict) -> list[tuple[int, int]]:
     pair (pos, neg) of masks of the atom ids (``ids`` maps an atom's elements
     to its id bit) that it holds as cylinders and as complements, deduplicated
     in first-seen order."""
-    if isinstance(e, Atom):
-        bit = ids[e.order.elements]
+    if isinstance(e, FiniteOrder):
+        bit = ids[e.elements]
         return [(bit, 0) if positive else (0, bit)]
     if isinstance(e, Not):
         return _dnf(e.child, not positive, ids)
@@ -518,7 +486,7 @@ def adjacency_event(n: int, m: int, N: int) -> EventExpr:
     _check_adjacency_args(n, m, N)
     clauses = [adjacency_clause(n, m, j) for j in range(N) if j != n and j != m]
     if not clauses:
-        return Atom(FiniteOrder(()))
+        return FiniteOrder(())
     if len(clauses) == 1:
         return clauses[0]
     return And(tuple(clauses))
@@ -526,7 +494,7 @@ def adjacency_event(n: int, m: int, N: int) -> EventExpr:
 
 def adjacency_clause(n: int, m: int, j: int) -> EventExpr:
     """The event that j does not lie strictly between n and m."""
-    return Not(Or((Atom(FiniteOrder((n, j, m))), Atom(FiniteOrder((m, j, n))))))
+    return Not(Or((FiniteOrder((n, j, m)), FiniteOrder((m, j, n)))))
 
 
 def mu_adjacency(n: int, m: int, N: int) -> Fraction:

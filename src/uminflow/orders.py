@@ -1,15 +1,19 @@
 """Total orders on finite sets of naturals, cylinder events, and the group action.
 
-A finite order ``l`` on a subset of N names the cylinder of all total orders
-of N that extend it.  Boolean combinations of such cylinders form the event
-algebra this package computes measures on; everything here is an immutable
-value and every operation is pure.
+A finite order ``l`` on a subset of N names the cylinder [l] of all total
+orders of N that extend it, so a ``FiniteOrder`` is the leaf of an event:
+``Not``, ``And`` and ``Or`` over such leaves form the event algebra this
+package computes measures on.  One walk, ``_event_mask``, decides an event on
+a set of orders held as the bits of a mask: ``evaluate`` runs it on one order
+(the mask 1) and ``measure.mu_exact`` on blocks of up to 8! orders.
+Everything here is an immutable value and every operation is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from operator import lt
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class ParseError(ValueError):
@@ -22,28 +26,26 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class FiniteOrder:
-    """A total order on a finite set of naturals.
+    """A total order on a finite set of naturals, and the leaf of an event:
+    the cylinder of the total orders of N that extend it.
 
     ``elements`` lists the members in increasing order position.  The empty
-    order is valid and denotes the vacuous constraint (the full space).
+    order is valid and denotes the vacuous constraint (the full space).  A
+    bool is refused though it subclasses int, since it would print as a
+    name that ``parse_event`` cannot read back.
     """
 
     elements: tuple[int, ...]
 
     def __post_init__(self):
         for e in self.elements:
-            if not isinstance(e, int) or e < 0:
+            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                 raise ValueError(f"order elements must be naturals, got {e!r}")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"repeated element in order {self.elements}")
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True, slots=True)
-class Atom:
-    order: FiniteOrder
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +63,7 @@ class Or:
     children: tuple["EventExpr", ...]
 
 
-EventExpr = Union[Atom, Not, And, Or]
+EventExpr = Union[FiniteOrder, Not, And, Or]
 
 
 @dataclass(frozen=True)
@@ -187,9 +189,9 @@ class PartialPermutation:
 #
 # A factor may sit inside at most MAX_EVENT_NESTING "!" and "(": the parser
 # refuses deeper text before it recurses, so that parsing (three frames a
-# level), printing, evaluating, the order-mask walk of ``mu_exact`` and the
-# DNF rewrite (one frame a level each) stay inside Python's default recursion
-# limit of 1000.
+# level), printing, relabelling, the event walk ``_event_mask`` (which both
+# ``evaluate`` and ``mu_exact`` run) and the DNF rewrite (one frame a level
+# each) stay inside Python's default recursion limit of 1000.
 
 MAX_EVENT_NESTING = 200
 
@@ -225,13 +227,13 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a natural number")
         return int(self.text[start:self.pos])
 
-    def atom(self) -> Atom:
+    def atom(self) -> FiniteOrder:
         self.skip_ws()
         if not self.eat("ord("):
             raise self.error("expected 'ord('")
@@ -241,7 +243,7 @@ class _Parser:
         self.expect(")")
         if len(set(elements)) != len(elements):
             raise self.error(f"repeated element in atom {elements}")
-        return Atom(FiniteOrder(tuple(elements)))
+        return FiniteOrder(tuple(elements))
 
     def factor(self) -> EventExpr:
         if self.peek() not in ("!", "("):
@@ -285,8 +287,8 @@ def parse_event(text: str) -> EventExpr:
 
 def print_event(e: EventExpr) -> str:
     """Render an expression in the grammar accepted by parse_event."""
-    if isinstance(e, Atom):
-        return f"ord({'<'.join(map(str, e.order.elements))})"
+    if isinstance(e, FiniteOrder):
+        return f"ord({'<'.join(map(str, e.elements))})"
     if isinstance(e, Not):
         inner = print_event(e.child)
         if isinstance(e.child, (And, Or)):
@@ -312,60 +314,77 @@ def print_event(e: EventExpr) -> str:
 # Semantics
 
 
-def support(e: EventExpr) -> frozenset[int]:
-    """Union of the element sets of all atoms in the expression."""
-    out: set[int] = set()
+def _leaves(e: EventExpr) -> Iterator[FiniteOrder]:
+    """The leaves of the expression, each as often as it occurs."""
     stack = [e]
     while stack:
         e = stack.pop()
-        if isinstance(e, Atom):
-            out.update(e.order.elements)
+        if isinstance(e, FiniteOrder):
+            yield e
         elif isinstance(e, Not):
             stack.append(e.child)
         elif isinstance(e, (And, Or)):
             stack.extend(e.children)
         else:
             raise TypeError(f"not an event expression: {e!r}")
-    return frozenset(out)
 
 
-def _rank_of(order) -> Mapping[int, int]:
-    if isinstance(order, OrderPrefix):
-        return order.rank
-    return order
+def support(e: EventExpr) -> frozenset[int]:
+    """Union of the element sets of all leaves in the expression."""
+    return frozenset(x for leaf in _leaves(e) for x in leaf.elements)
 
 
 def evaluate(e: EventExpr, order) -> bool:
     """Membership of a total order in the denoted event.
 
     ``order`` is an OrderPrefix or a mapping element -> position whose domain
-    covers support(e).  An atom holds iff the order extends it; negation of an
-    atom means the order does not extend it.
+    covers support(e).  A leaf holds iff the order extends it; negation of a
+    leaf means the order does not extend it.
     """
-    rank = _rank_of(order)
+    rank = order.rank if isinstance(order, OrderPrefix) else order
     try:
-        return _evaluate(e, rank)
+        return _event_mask(e, rank, lt, 1) == 1
     except (KeyError, IndexError):
-        missing = sorted(x for x in support(e) if not _covers(rank, x))
+        # a rank tuple holds exactly range(n), the elements it covers
+        missing = sorted(x for x in support(e) if x not in rank)
         raise ValueError(f"order does not cover support elements {missing}") from None
 
 
-def _covers(rank, x: int) -> bool:
-    if isinstance(rank, tuple):
-        return 0 <= x < len(rank)
-    return x in rank
+def _event_mask(e: EventExpr, index, less, full: int) -> int:
+    """The orders inside the event, as a mask over the orders that ``full``
+    holds: ``index[x]`` is the operand of ``less`` for a support element x,
+    and ``less(i, j)`` the mask of the orders placing i before j.
 
-
-def _evaluate(e: EventExpr, rank) -> bool:
-    if isinstance(e, Atom):
-        es = e.order.elements
-        return all(rank[es[i]] < rank[es[i + 1]] for i in range(len(es) - 1))
+    ``evaluate`` passes one order as the mask 1, its ranks and
+    ``operator.lt``; ``mu_exact`` passes a block of up to 8! orders.  A leaf
+    or an And stops at the first pair or child that leaves 0 and an Or at
+    the first child that fills ``full``, so on one order the walk reads the
+    ranks that an all/any evaluation reads, in the same order.
+    """
+    if isinstance(e, FiniteOrder):
+        m = full
+        es = e.elements
+        for a, b in zip(es, es[1:]):
+            m &= less(index[a], index[b])
+            if not m:
+                break
+        return m
     if isinstance(e, Not):
-        return not _evaluate(e.child, rank)
+        return full ^ _event_mask(e.child, index, less, full)
     if isinstance(e, And):
-        return all(_evaluate(c, rank) for c in e.children)
+        m = full
+        for c in e.children:
+            m &= _event_mask(c, index, less, full)
+            if not m:
+                break
+        return m
     if isinstance(e, Or):
-        return any(_evaluate(c, rank) for c in e.children)
+        m = 0
+        for c in e.children:
+            m |= _event_mask(c, index, less, full)
+            if m == full:
+                break
+        return m
     raise TypeError(f"not an event expression: {e!r}")
 
 
@@ -382,19 +401,14 @@ def act(sigma: PartialPermutation, o: OrderPrefix) -> OrderPrefix:
     return OrderPrefix(o.n, tuple(rank))
 
 
-def act_on_event(sigma: PartialPermutation, l: FiniteOrder) -> FiniteOrder:
-    """Relabel the order's elements through sigma, keeping positions."""
-    dom = sigma.domain()
-    outside = [e for e in l.elements if e not in dom]
-    if outside:
-        raise ValueError(f"elements {outside} outside the permutation's domain")
-    return FiniteOrder(tuple(sigma(e) for e in l.elements))
-
-
 def relabel_event(sigma: PartialPermutation, e: EventExpr) -> EventExpr:
-    """Apply sigma to every atom of the expression."""
-    if isinstance(e, Atom):
-        return Atom(act_on_event(sigma, e.order))
+    """Apply sigma to the elements of every leaf, keeping their positions."""
+    if isinstance(e, FiniteOrder):
+        dom = sigma.domain()
+        outside = [x for x in e.elements if x not in dom]
+        if outside:
+            raise ValueError(f"elements {outside} outside the permutation's domain")
+        return FiniteOrder(tuple(sigma(x) for x in e.elements))
     if isinstance(e, Not):
         return Not(relabel_event(sigma, e.child))
     if isinstance(e, And):

@@ -33,7 +33,6 @@ from .measure import (
 )
 from .orders import (
     And,
-    Atom,
     EventExpr,
     FiniteOrder,
     Or,
@@ -293,8 +292,8 @@ def unbounded_test_family(n: int) -> MLTestFamily:
     """
     if n < 0:
         raise ValueError(f"the point must be non-negative, got {n}")
-    below = _Parts(lambda i: Atom(FiniteOrder((n, i + (i >= n)))))
-    above = _Parts(lambda i: Atom(FiniteOrder((i + (i >= n), n))))
+    below = _Parts(lambda i: FiniteOrder((n, i + (i >= n))))
+    above = _Parts(lambda i: FiniteOrder((i + (i >= n), n)))
 
     def level(k: int) -> TestLevel:
         N = max(2 ** (k + 1) - 1, n + 1)
@@ -350,7 +349,7 @@ def poset_test_family(
         for N in range(start, min(poset_cap, extension_cap, SAMPLE_SIZE_CAP) + 1):
             if N not in stages:
                 measure, pairs = _stage_level(builder, N)
-                atoms = _Parts(lambda i, pairs=pairs: Atom(FiniteOrder(pairs[i])))
+                atoms = _Parts(lambda i, pairs=pairs: FiniteOrder(pairs[i]))
                 stages[N] = measure, (atoms, len(pairs))
             measure, atoms = stages[N]
             if measure <= bound:

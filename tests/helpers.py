@@ -1,13 +1,13 @@
-"""Shared generators for randomized checks."""
+"""Shared generators for randomized checks, and a reference evaluator."""
 
 import random
 
-from uminflow import And, Atom, EventExpr, FiniteOrder, Not, Or
+from uminflow import And, EventExpr, FiniteOrder, Not, Or
 
 
-def random_atom(rng: random.Random, elements) -> Atom:
+def random_atom(rng: random.Random, elements) -> FiniteOrder:
     k = rng.randint(1, min(3, len(elements)))
-    return Atom(FiniteOrder(tuple(rng.sample(list(elements), k))))
+    return FiniteOrder(tuple(rng.sample(list(elements), k)))
 
 
 def random_event(
@@ -33,3 +33,19 @@ def random_bijection(rng: random.Random, n: int) -> dict[int, int]:
     images = list(range(n))
     rng.shuffle(images)
     return dict(enumerate(images))
+
+
+def reference_evaluate(e: EventExpr, rank) -> bool:
+    """Membership of the order with positions ``rank[x]`` in the event, by
+    all/any over the tree: a reference independent of the mask walk that
+    ``evaluate`` and ``mu_exact`` share."""
+    if isinstance(e, FiniteOrder):
+        es = e.elements
+        return all(rank[es[i]] < rank[es[i + 1]] for i in range(len(es) - 1))
+    if isinstance(e, Not):
+        return not reference_evaluate(e.child, rank)
+    if isinstance(e, And):
+        return all(reference_evaluate(c, rank) for c in e.children)
+    if isinstance(e, Or):
+        return any(reference_evaluate(c, rank) for c in e.children)
+    raise TypeError(f"not an event expression: {e!r}")

@@ -105,6 +105,20 @@ def test_caps_env_rejects_garbage(capsys, monkeypatch):
     assert code == 2 and "UMINFLOW_CAPS" in err
 
 
+def test_caps_env_rejects_non_decimal_digits(capsys, monkeypatch):
+    monkeypatch.setenv("UMINFLOW_CAPS", "support=²")
+    code, _, err = run(capsys, "measure", "ord(0<1)")
+    assert (code, err) == (2, "error: bad UMINFLOW_CAPS entry 'support=²'\n")
+
+
+def test_measure_non_decimal_digit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "measure", "ord(²<1)")
+    expected = "parse error: expected a natural number (at position 4)\n"
+    assert (code, out, err) == (2, "", expected)
+    code, out, _ = run(capsys, "measure", "ord(١<٢)")
+    assert code == 0 and out == "1/2\n"
+
+
 def test_encode_rejects_empty_bits(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("  \n")

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from uminflow import (
     And,
-    Atom,
     CapExceededError,
     FiniteOrder,
     FinitePoset,
@@ -40,7 +40,7 @@ from uminflow.measure import (
     _dnf,
     _position_masks,
 )
-from helpers import random_bijection, random_event
+from helpers import random_bijection, random_event, reference_evaluate
 
 
 def test_mu_cylinder_values():
@@ -341,7 +341,7 @@ def test_partition_identity(k):
         rng = random.Random(k)
         for _ in range(10):
             a, b = rng.sample(relabelings, 2)
-            assert mu_exact(And((Atom(a), Atom(b)))) == 0
+            assert mu_exact(And((a, b))) == 0
 
 
 def test_invariance_under_relabeling():
@@ -359,26 +359,26 @@ def test_adjacency_event_degenerate_window():
 
 
 def test_weight_path_degenerate_atoms():
-    from uminflow import Atom, Not
-
-    full = Atom(FiniteOrder(()))
+    full = FiniteOrder(())
     assert mu_weight_exact(full) == 1
     assert mu_weight_exact(Not(full)) == 0
-    vacuous = Atom(FiniteOrder((5,)))
+    vacuous = FiniteOrder((5,))
     assert mu_weight_exact(vacuous) == 1
     assert mu_weight_exact(Not(vacuous)) == 0
     assert mu_exact(vacuous) == 1
 
 
 # ---------------------------------------------------------------------------
-# The bit-parallel enumeration against the evaluate reference
+# The bit-parallel enumeration and evaluate against the all/any reference
 
 
 def _brute_force(e) -> Fraction:
-    """Satisfying orders on the support, one evaluate call per permutation."""
+    """Satisfying orders on the support, one reference_evaluate call per
+    permutation."""
     sup = sorted(support(e))
     count = sum(
-        evaluate(e, dict(zip(sup, rank))) for rank in permutations(range(len(sup)))
+        reference_evaluate(e, dict(zip(sup, rank)))
+        for rank in permutations(range(len(sup)))
     )
     return Fraction(count, factorial(len(sup)))
 
@@ -386,7 +386,7 @@ def _brute_force(e) -> Fraction:
 def _event_strategy(points: int):
     """Events whose atoms name at most 4 of range(points)."""
     atoms = st.lists(st.integers(0, points - 1), max_size=4, unique=True).map(
-        lambda es: Atom(FiniteOrder(tuple(es)))
+        lambda es: FiniteOrder(tuple(es))
     )
     return st.recursive(
         atoms,
@@ -407,6 +407,33 @@ _events = _event_strategy(6)
 def test_compiled_event_matches_evaluate(e):
     assert mu_exact(e) == _brute_force(e)
     assert mu_weight_exact(e) == mu_exact(e)
+
+
+class _RecordingRanks(Mapping):
+    """Positions of an order, logging each element read."""
+
+    def __init__(self, ranks):
+        self.ranks, self.reads = ranks, []
+
+    def __getitem__(self, x):
+        self.reads.append(x)
+        return self.ranks[x]
+
+    def __iter__(self):
+        return iter(range(len(self.ranks)))
+
+    def __len__(self):
+        return len(self.ranks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_events, st.permutations(range(6)))
+def test_evaluate_reads_what_the_reference_reads(e, ranks):
+    # a leaf, an And and an Or stop where all/any stop, so a lazy order
+    # (a stream's rank view) derives no key that the reference would not
+    walked, reference = _RecordingRanks(ranks), _RecordingRanks(ranks)
+    assert evaluate(e, walked) == reference_evaluate(e, reference)
+    assert walked.reads == reference.reads
 
 
 @pytest.mark.parametrize("w", range(7))
@@ -437,8 +464,8 @@ def test_mu_exact_across_blocks(s):
         points = random.Random(k).sample(range(s), k)
         # one-point atoms widen the support to range(s) and constrain nothing
         padded = And(
-            (Atom(FiniteOrder(tuple(points))),)
-            + tuple(Atom(FiniteOrder((x,))) for x in range(s))
+            (FiniteOrder(tuple(points)),)
+            + tuple(FiniteOrder((x,)) for x in range(s))
         )
         assert mu_exact(padded, support_cap=s) == Fraction(1, factorial(k))
     tree = parse_event(
@@ -452,11 +479,11 @@ def test_mu_exact_across_blocks(s):
 
 
 def test_mu_exact_small_supports_and_extremes():
-    assert mu_exact(Atom(FiniteOrder(()))) == 1
-    assert mu_exact(Not(Atom(FiniteOrder(())))) == 0
-    assert mu_exact(Atom(FiniteOrder((3,)))) == 1
-    assert mu_exact(Or((Not(Atom(FiniteOrder((3,)))), Atom(FiniteOrder((3,)))))) == 1
-    assert mu_exact(And((Not(Atom(FiniteOrder((3,)))), Atom(FiniteOrder((3,)))))) == 0
+    assert mu_exact(FiniteOrder(())) == 1
+    assert mu_exact(Not(FiniteOrder(()))) == 0
+    assert mu_exact(FiniteOrder((3,))) == 1
+    assert mu_exact(Or((Not(FiniteOrder((3,))), FiniteOrder((3,))))) == 1
+    assert mu_exact(And((Not(FiniteOrder((3,))), FiniteOrder((3,))))) == 0
     cyclic = parse_event("ord(0<1<2<3<4<5<6<7) & ord(7<0)")
     assert mu_exact(cyclic) == 0
     tautology = parse_event("ord(0<1<2<3<4<5<6<7) | !ord(0<1<2<3<4<5<6<7)")
@@ -512,8 +539,8 @@ def test_union_cap_counts_minimal_conjunctions():
     # 29 conjunctions before absorption, one (ord(0<1)) after
     pairs = [(a, b) for a in range(6) for b in range(6) if a != b and (a, b) != (0, 1)]
     e = Or(
-        (Atom(FiniteOrder((0, 1))),)
-        + tuple(And((Atom(FiniteOrder((0, 1))), Atom(FiniteOrder(p)))) for p in pairs)
+        (FiniteOrder((0, 1)),)
+        + tuple(And((FiniteOrder((0, 1)), FiniteOrder(p))) for p in pairs)
     )
     assert len(_literal_dnf(e, True)) > 16
     assert mu_weight_exact(e) == mu_exact(e) == Fraction(1, 2)
@@ -678,8 +705,8 @@ def _literal_dnf(e, positive):
 
 def _reference_dnf(e, positive):
     """The DNF rewrite as it was before merges tested only the new literals."""
-    if isinstance(e, Atom):
-        return [frozenset([(e.order, positive)])]
+    if isinstance(e, FiniteOrder):
+        return [frozenset([(e, positive)])]
     if isinstance(e, Not):
         return _reference_dnf(e.child, not positive)
     both = e.children
@@ -750,7 +777,7 @@ def _deep_events(draw, points: int, leaves: int):
 
     def tree(n):
         if n == 1:
-            return negated(Atom(FiniteOrder(tuple(draw(elements)))))
+            return negated(FiniteOrder(tuple(draw(elements))))
         k = draw(st.integers(2, min(4, n)))
         cuts = draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1))
         cuts = sorted(cuts)
@@ -772,7 +799,7 @@ def test_weight_route_matches_oracle_on_deep_events(e):
 
 def _binary_or(points: int):
     atoms = st.lists(st.integers(0, points - 1), min_size=2, max_size=3, unique=True)
-    literals = atoms.map(lambda es: Atom(FiniteOrder(tuple(es))))
+    literals = atoms.map(lambda es: FiniteOrder(tuple(es)))
     literals = st.one_of(literals, literals.map(Not))
     return st.tuples(literals, literals).map(Or)
 

@@ -5,7 +5,6 @@ import pytest
 
 from uminflow import (
     And,
-    Atom,
     FiniteOrder,
     Not,
     Or,
@@ -13,10 +12,10 @@ from uminflow import (
     ParseError,
     PartialPermutation,
     act,
-    act_on_event,
     evaluate,
     parse_event,
     print_event,
+    relabel_event,
     support,
 )
 from helpers import random_bijection, random_event
@@ -24,12 +23,12 @@ from helpers import random_bijection, random_event
 
 def test_parse_single_atom():
     e = parse_event("ord(0<1)")
-    assert e == Atom(FiniteOrder((0, 1)))
+    assert e == FiniteOrder((0, 1))
 
 
 def test_parse_structure():
     e = parse_event("ord(0<1) & !ord(2<3)")
-    assert e == And((Atom(FiniteOrder((0, 1))), Not(Atom(FiniteOrder((2, 3))))))
+    assert e == And((FiniteOrder((0, 1)), Not(FiniteOrder((2, 3)))))
 
 
 def test_parse_precedence_and_parens():
@@ -45,10 +44,20 @@ def test_parse_repeated_element_rejected():
     assert err.value.position > 0
 
 
-@pytest.mark.parametrize("bad", ["", "ord(", "ord(1<)", "ord(1) &", "xyz", "ord(1))"])
+@pytest.mark.parametrize(
+    "bad", ["", "ord(", "ord(1<)", "ord(1) &", "xyz", "ord(1))", "ord(²<1)"]
+)
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_event(bad)
+
+
+def test_finite_order_refuses_bools():
+    # a bool would print as ord(False<True), which parse_event refuses
+    with pytest.raises(ValueError, match="naturals, got False"):
+        FiniteOrder((False, True))
+    with pytest.raises(ValueError, match="naturals, got True"):
+        FiniteOrder((0, True))
 
 
 def test_parse_nesting_cap():
@@ -74,7 +83,7 @@ def test_print_round_trip_random():
 def test_support():
     assert support(parse_event("ord(0<1) | ord(5<2)")) == {0, 1, 2, 5}
     assert support(parse_event("!ord(3<4<7)")) == {3, 4, 7}
-    assert support(Atom(FiniteOrder(()))) == frozenset()
+    assert support(FiniteOrder(())) == frozenset()
 
 
 def test_evaluate_extension():
@@ -143,15 +152,15 @@ def test_act_inverse_round_trip():
 
 def test_act_on_event_relabels():
     sigma = PartialPermutation.from_mapping({0: 3, 1: 4})
-    assert act_on_event(sigma, FiniteOrder((0, 1))) == FiniteOrder((3, 4))
-    assert act_on_event(
+    assert relabel_event(sigma, FiniteOrder((0, 1))) == FiniteOrder((3, 4))
+    assert relabel_event(
         PartialPermutation.identity(2), FiniteOrder((0, 1))
     ) == FiniteOrder((0, 1))
 
 
 def test_act_on_event_domain_errors():
     with pytest.raises(ValueError):
-        act_on_event(PartialPermutation.identity(1), FiniteOrder((0, 1)))
+        relabel_event(PartialPermutation.identity(1), FiniteOrder((0, 1)))
 
 
 def test_act_commutes_with_evaluate():
@@ -164,9 +173,7 @@ def test_act_commutes_with_evaluate():
             xi = OrderPrefix.from_sequence(xi_seq)
             acted = act(sigma, xi)
             for l in atoms:
-                assert evaluate(Atom(act_on_event(sigma, l)), acted) == evaluate(
-                    Atom(l), xi
-                )
+                assert evaluate(relabel_event(sigma, l), acted) == evaluate(l, xi)
 
 
 def test_act_commutes_with_evaluate_five_points_sampled():
@@ -175,9 +182,7 @@ def test_act_commutes_with_evaluate_five_points_sampled():
         sigma = PartialPermutation.from_mapping(random_bijection(rng, 5))
         xi = OrderPrefix.from_sequence(rng.sample(range(5), 5))
         l = FiniteOrder(tuple(rng.sample(range(5), rng.randint(2, 5))))
-        assert evaluate(Atom(act_on_event(sigma, l)), act(sigma, xi)) == evaluate(
-            Atom(l), xi
-        )
+        assert evaluate(relabel_event(sigma, l), act(sigma, xi)) == evaluate(l, xi)
 
 
 def test_evaluate_locality():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from uminflow import (
     And,
-    Atom,
     FiniteOrder,
     MLLevelUnavailable,
     Or,
@@ -260,8 +259,8 @@ LEVEL_ORDERS = (range(1, 7), (6, 2, 5))
 
 def _unbounded_event(n, N):
     others = [j for j in range(N + 1) if j != n]
-    is_min = And(tuple(Atom(FiniteOrder((n, j))) for j in others))
-    is_max = And(tuple(Atom(FiniteOrder((j, n))) for j in others))
+    is_min = And(tuple(FiniteOrder((n, j)) for j in others))
+    is_max = And(tuple(FiniteOrder((j, n)) for j in others))
     return Or((is_min, is_max))
 
 
@@ -386,7 +385,7 @@ def test_poset_family_stages_equal_the_stage_snapshots():
         stage = universal_poset_stage(lvl.window)
         assert lvl.exact_measure == poset_level_measure(stage)
         assert lvl.event == And(
-            tuple(Atom(FiniteOrder(p)) for p in sorted(stage.stage.relation))
+            tuple(FiniteOrder(p) for p in sorted(stage.stage.relation))
         )
 
 
@@ -394,7 +393,7 @@ def test_stream_order_view_covers_its_window():
     view = RandomOrderStream(8).order(5)
     assert list(view) == list(range(5)) and 4 in view and 5 not in view
     with pytest.raises(ValueError, match=r"cover support elements \[5\]"):
-        evaluate(Atom(FiniteOrder((0, 5))), view)
+        evaluate(FiniteOrder((0, 5)), view)
     with pytest.raises(ValueError, match="exceeds cap"):
         RandomOrderStream(8).order(10**6 + 1)
 
