@@ -131,13 +131,12 @@ class PartialPermutation:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        dom = [a for a, _ in self.pairs]
-        ran = [b for _, b in self.pairs]
-        if len(set(dom)) != len(dom):
+        m = dict(self.pairs)
+        if len(m) != len(self.pairs):
             raise ValueError("duplicate source in partial permutation")
-        if len(set(ran)) != len(ran):
+        if len(set(m.values())) != len(m):
             raise ValueError("partial permutation is not injective")
-        object.__setattr__(self, "_map", dict(self.pairs))
+        object.__setattr__(self, "_map", m)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int]) -> "PartialPermutation":
@@ -158,10 +157,10 @@ class PartialPermutation:
             raise ValueError(f"{x} is outside the permutation's domain") from None
 
     def domain(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self.pairs)
+        return frozenset(self._map)
 
     def range(self) -> frozenset[int]:
-        return frozenset(b for _, b in self.pairs)
+        return frozenset(self._map.values())
 
     def inverse(self) -> "PartialPermutation":
         return PartialPermutation(tuple(sorted((b, a) for a, b in self.pairs)))
@@ -175,8 +174,8 @@ class PartialPermutation:
         return PartialPermutation.from_mapping(out)
 
     def is_bijection_on(self, universe: Iterable[int]) -> bool:
-        universe = set(universe)
-        return self.domain() >= universe and {self._map[x] for x in universe} == universe
+        m, universe = self._map, set(universe)
+        return m.keys() >= universe and {m[x] for x in universe} == universe
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +403,10 @@ def act(sigma: PartialPermutation, o: OrderPrefix) -> OrderPrefix:
 def relabel_event(sigma: PartialPermutation, e: EventExpr) -> EventExpr:
     """Apply sigma to the elements of every leaf, keeping their positions."""
     if isinstance(e, FiniteOrder):
-        dom = sigma.domain()
-        outside = [x for x in e.elements if x not in dom]
+        outside = [x for x in e.elements if x not in sigma._map]
         if outside:
             raise ValueError(f"elements {outside} outside the permutation's domain")
-        return FiniteOrder(tuple(sigma(x) for x in e.elements))
+        return FiniteOrder(tuple(sigma._map[x] for x in e.elements))
     if isinstance(e, Not):
         return Not(relabel_event(sigma, e.child))
     if isinstance(e, And):

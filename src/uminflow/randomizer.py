@@ -33,7 +33,6 @@ from .fraisse import (
     DEFAULT_SEARCH_BUDGET,
     OrderPresentation,
     _alternate,
-    _bits,
     _each,
     _scanner,
     _sort_key,
@@ -41,7 +40,7 @@ from .fraisse import (
     poset_extension_test,
     universal_poset_stage,
 )
-from .measure import DEFAULT_EXTENSION_CAP
+from .measure import DEFAULT_EXTENSION_CAP, _bits
 from .orders import OrderPrefix, PartialPermutation, act
 from .sampler import KEY_BITS, RandomOrderStream, poset_level_measure
 

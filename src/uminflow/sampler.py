@@ -23,9 +23,10 @@ from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .fraisse import DEFAULT_POSET_CAP, OrderPresentation, PosetStage, StageBuilder
-from .fraisse import _bits, _sort_key, poset_extension_test  # noqa: F401 - re-exported
+from .fraisse import _sort_key
 from .measure import (
     DEFAULT_EXTENSION_CAP,
+    _bits,
     _count_extensions,
     adjacency_clause,
     linear_extension_count,
@@ -313,7 +314,8 @@ def poset_level_measure(
 
 def _stage_level(builder: StageBuilder, N: int) -> tuple[Fraction, list]:
     """Stage N's extension measure and its relation as sorted pairs, read
-    off the builder's masks."""
+    off the builder's masks.  It is not folded into ``poset_level_measure``:
+    a fold over raw masks would let public callers pass unvalidated masks."""
     pred = builder.preds(N)
     pairs = sorted((a, b) for b, p in enumerate(pred) for a in _bits(p))
     return Fraction(_count_extensions((1 << N) - 1, pred), factorial(N)), pairs

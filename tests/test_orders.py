@@ -12,6 +12,7 @@ from uminflow import (
     ParseError,
     PartialPermutation,
     act,
+    adjacency_event,
     evaluate,
     parse_event,
     print_event,
@@ -159,8 +160,21 @@ def test_act_on_event_relabels():
 
 
 def test_act_on_event_domain_errors():
-    with pytest.raises(ValueError):
+    message = r"^elements \[1\] outside the permutation's domain$"
+    with pytest.raises(ValueError, match=message):
         relabel_event(PartialPermutation.identity(1), FiniteOrder((0, 1)))
+
+
+def test_relabel_event_is_linear(monkeypatch):
+    """Relabelling reads the permutation's map, not a domain set per leaf."""
+    calls = []
+    domain = PartialPermutation.domain
+    monkeypatch.setattr(
+        PartialPermutation, "domain", lambda self: calls.append(self) or domain(self)
+    )
+    e = adjacency_event(0, 1, 1500)
+    assert relabel_event(PartialPermutation.identity(1500), e) == e
+    assert len(calls) <= 1
 
 
 def test_act_commutes_with_evaluate():
@@ -245,10 +259,18 @@ def test_prefix_rejects_non_permutations():
 
 
 def test_partial_permutation_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^partial permutation is not injective$"):
         PartialPermutation(((0, 1), (1, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate source in partial permutation$"):
         PartialPermutation(((0, 1), (0, 2)))
+    # both faults: the duplicate source is reported first
+    with pytest.raises(ValueError, match="^duplicate source in partial permutation$"):
+        PartialPermutation(((0, 1), (0, 1), (2, 1)))
     p = PartialPermutation(((0, 2), (1, 0)))
+    assert type(p.domain()) is frozenset and p.domain() == {0, 1}
+    assert type(p.range()) is frozenset and p.range() == {0, 2}
+    assert not p.is_bijection_on({0, 1})
+    assert PartialPermutation(((0, 1), (1, 0), (2, 5))).is_bijection_on([1, 0])
+    assert not PartialPermutation.identity(3).is_bijection_on(range(4))
     assert p.inverse()(2) == 0
     assert p.compose(p.inverse()).mapping == {2: 2, 0: 0}
