@@ -15,8 +15,8 @@ independent computation paths are provided:
   assignment at a time and the last 8 are counted in a block, so no mask is
   longer than 8! bits at any support cap.
 - ``mu_weight_recursive`` rewrites the event as a union of conjunctions, each
-  a pair of masks over atom ids (the ids number the distinct leaves in sorted
-  order), keeps only the minimal ones, measures the union by
+  one int pos | neg << w over the w atom ids (the ids number the distinct
+  leaves in sorted order), keeps only the minimal ones, measures the union by
   inclusion-exclusion and each conjunction by peeling negated atoms.  The
   cylinders' precedence is carried down the peel as transitively closed
   masks, one atom's pairs added per step.  A negated atom that the positive
@@ -268,44 +268,43 @@ def _atom_ids(e: EventExpr) -> dict[tuple[int, ...], int]:
     return {es: 1 << i for i, es in enumerate(sorted(found))}
 
 
-def _dnf(e: EventExpr, positive: bool, ids: dict) -> list[tuple[int, int]]:
-    """Rewrite an expression as a union of conjunctions of signed atoms, each a
-    pair (pos, neg) of masks of the atom ids (``ids`` maps an atom's elements
-    to its id bit) that it holds as cylinders and as complements, deduplicated
-    in first-seen order."""
+def _dnf(e: EventExpr, positive: bool, ids: dict) -> list[int]:
+    """Rewrite an expression as a union of conjunctions of signed atoms,
+    deduplicated in first-seen order, each one int pos | neg << len(ids):
+    ``ids`` maps an atom's elements to its id bit, and pos and neg mask the
+    ids that it holds as cylinders and as complements."""
     if isinstance(e, FiniteOrder):
         bit = ids[e.elements]
-        return [(bit, 0) if positive else (0, bit)]
+        return [bit if positive else bit << len(ids)]
     if isinstance(e, Not):
         return _dnf(e.child, not positive, ids)
     if (isinstance(e, And) and positive) or (isinstance(e, Or) and not positive):
-        out = [(0, 0)]
+        w = len(ids)
+        out = [0]
         for child in e.children:
-            # no term is contradictory, so a merge is contradictory exactly
-            # when one side negates an atom that the other holds
+            # a merge is contradictory when it holds an atom both ways
             branches = _dnf(child, positive, ids)
-            out = list(dict.fromkeys(
-                (ap | bp, an | bn) for ap, an in out for bp, bn in branches
-                if not (ap & bn or an & bp)
-            ))
+            out = list(dict.fromkeys([
+                u for a in out for b in branches if not (u := a | b) & u >> w
+            ]))
         return out
     return list(dict.fromkeys(t for c in e.children for t in _dnf(c, positive, ids)))
 
 
-def _absorb(terms: list[tuple[int, int]], union_cap: int) -> list[tuple[int, int]]:
-    """The distinct minimal conjunctions: drop any term that contains another
-    (it denotes a subset of it) or repeats one.
+def _absorb(terms: list[int], union_cap: int) -> list[int]:
+    """The distinct minimal conjunctions: drop any term t that contains
+    another k (k & ~t == 0: t denotes a subset of k) or repeats one.
 
     Terms are visited by increasing size, so every proper subset of a term is
     seen before it and a term kept is never absorbed later.  The union cap is
     therefore checked as terms are kept: CapExceededError as soon as
     union_cap + 1 are, after O(len(terms) * union_cap) subset tests.
     """
-    kept: list[tuple[int, int]] = []
-    for p, n in sorted(terms, key=lambda t: t[0].bit_count() + t[1].bit_count()):
-        if any(kp & ~p == 0 and kn & ~n == 0 for kp, kn in kept):
+    kept: list[int] = []
+    for t in sorted(terms, key=int.bit_count):
+        if any(k & ~t == 0 for k in kept):
             continue
-        kept.append((p, n))
+        kept.append(t)
         if len(kept) > union_cap:
             raise CapExceededError(
                 f"union cap {union_cap} exceeded: {len(kept)} minimal conjunctions"
@@ -406,14 +405,15 @@ def _count_extensions(full: int, pred: list[int]) -> int:
     return layer.get(full, 0)
 
 
-def _mu_union(terms: list[tuple[int, int]], ids: dict) -> Fraction:
-    """Inclusion-exclusion over a union of signed conjunctions, with the
-    support relabelled onto range(s) once: ``atoms`` holds each id's mask of
-    named indices and its consecutive pairs (a, 1 << a, b, 1 << b).
+def _mu_union(terms: list[int], ids: dict) -> Fraction:
+    """Inclusion-exclusion over a union of signed conjunctions, ints as
+    ``_dnf`` builds them, with the support relabelled onto range(s) once:
+    ``atoms`` holds each id's mask of named indices and its consecutive pairs
+    (a, 1 << a, b, 1 << b).
 
     The intersections are visited depth first, each built from its parent by
-    adding only the new atoms to the parent's closed precedence.  A
-    contradictory intersection (an atom both held and negated, or cylinders
+    one OR and by adding only the new atoms to the parent's closed precedence.
+    A contradictory intersection (an atom both held and negated, or cylinders
     forming a cycle) is empty, and so is every intersection above it, so its
     whole subtree is skipped.  Every term is an integer numerator over s!, and
     one Fraction is built at the end."""
@@ -424,26 +424,26 @@ def _mu_union(terms: list[tuple[int, int]], ids: dict) -> Fraction:
           for a, b in zip(es, es[1:])])
         for es in ids
     ]
-    scale = factorial(len(index))
+    scale, w = factorial(len(index)), len(ids)
+    low = (1 << w) - 1  # a term's pos half
     memo: dict = {}
 
-    def include(first: int, pos: int, neg: int, pred: list[int], named: int) -> int:
+    def include(first: int, u: int, pred: list[int], named: int) -> int:
         """The sum over the nonempty sets S of terms from ``first`` on of
-        (-1)^(|S|+1) times the measure of (pos, neg) intersected with S."""
+        (-1)^(|S|+1) times the measure of u intersected with S."""
         total = 0
         for j in range(first, len(terms)):
-            p, n = terms[j]
-            p, n = p | pos, n | neg
-            if p & n:
+            v = terms[j] | u
+            if v & v >> w:
                 continue
-            added = _add_cylinders(p & ~pos, pred, named, atoms)
+            added = _add_cylinders((v ^ u) & low, pred, named, atoms)  # new pos ids
             if added is None:
                 continue
-            total += _mu_conjunction(p, n, *added, atoms, scale, memo)
-            total -= include(j + 1, p, n, *added)
+            total += _mu_conjunction(v & low, v >> w, *added, atoms, scale, memo)
+            total -= include(j + 1, v, *added)
         return total
 
-    return Fraction(include(0, 0, 0, [0] * len(index), 0), scale)
+    return Fraction(include(0, 0, [0] * len(index), 0), scale)
 
 
 def mu_weight_exact(e: EventExpr, *, union_cap: int = DEFAULT_UNION_CAP) -> Fraction:

@@ -34,6 +34,8 @@ from uminflow import (
 from uminflow import measure
 from uminflow.fraisse import rational_code
 from uminflow.measure import (
+    BLOCK_WIDTH,
+    _absorb,
     _add_cylinders,
     _atom_ids,
     _count_extensions,
@@ -436,16 +438,15 @@ def test_evaluate_reads_what_the_reference_reads(e, ranks):
     assert walked.reads == reference.reads
 
 
-@pytest.mark.parametrize("w", range(7))
+@pytest.mark.parametrize("w", range(BLOCK_WIDTH + 1))
 def test_position_masks_match_permutation_order(w):
-    table = _position_masks(w)
-    assert len(table) == w
-    for c in range(w):
-        for v in range(w):
-            expected = sum(
-                1 << p for p, perm in enumerate(permutations(range(w))) if perm[c] == v
-            )
-            assert table[c][v] == expected
+    # every width mu_exact counts in a block, up to 8! orders
+    expected = [[0] * w for _ in range(w)]
+    for p, perm in enumerate(permutations(range(w))):
+        bit = 1 << p
+        for c, v in enumerate(perm):
+            expected[c][v] |= bit
+    assert _position_masks(w) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -684,23 +685,27 @@ def test_add_cylinders_keeps_the_precedence_closed(orders):
     assert (pred is empty) == (not any(raw))
 
 
+def _literals(ids, t):
+    """A term ``pos | neg << W`` of ``_dnf`` (W = len(ids)) as its set of
+    (order, sign) literals."""
+    w = len(ids)
+    pos, neg = t & (1 << w) - 1, t >> w
+    return frozenset(
+        (FiniteOrder(es), sign)
+        for es, bit in ids.items()
+        for sign, mask in ((True, pos), (False, neg))
+        if mask & bit
+    )
+
+
 def _literal_dnf(e, positive):
-    """``_dnf``'s terms with each atom id mask mapped back to (order, sign)
-    literals, in the same order."""
+    """``_dnf``'s terms as sets of (order, sign) literals, in the same order."""
     ids = _atom_ids(e)
     # ids number the atoms in sorted order, so the lowest negated id is the
     # least negated atom, the one the peel removes first
     assert list(ids) == sorted(ids)
     assert list(ids.values()) == [1 << i for i in range(len(ids))]
-    return [
-        frozenset(
-            (FiniteOrder(es), sign)
-            for es, bit in ids.items()
-            for sign, mask in ((True, pos), (False, neg))
-            if mask & bit
-        )
-        for pos, neg in _dnf(e, positive, ids)
-    ]
+    return [_literals(ids, t) for t in _dnf(e, positive, ids)]
 
 
 def _reference_dnf(e, positive):
@@ -742,14 +747,20 @@ def _reference_dedupe(terms):
     return out
 
 
-def _reference_refusal(e):
-    """The union-cap refusal of the weight route as it was on frozensets of
-    literals, or None where that route measured the event."""
-    terms = _reference_dnf(e, True)
+def _reference_absorb(terms):
+    """The minimal terms of a list of literal sets, by increasing size."""
     kept = []
     for t in sorted(terms, key=len):
         if not any(k <= t for k in kept):
             kept.append(t)
+    return kept
+
+
+def _reference_refusal(e):
+    """The union-cap refusal of the weight route as it was on frozensets of
+    literals, or None where that route measured the event."""
+    terms = _reference_dnf(e, True)
+    kept = _reference_absorb(terms)
     if len(kept) <= 16:
         return None
     return (
@@ -795,6 +806,22 @@ def test_weight_route_matches_oracle_on_deep_events(e):
     refusal = _reference_refusal(e)
     expected = mu_exact(e) if refusal is None else refusal
     assert _weight_or_refusal(e) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_deep_events(8, 12))
+def test_absorb_keeps_the_reference_minimal_terms(e):
+    ids = _atom_ids(e)
+    w = len(ids)
+    terms = _dnf(e, True, ids)
+    assert all(t & t >> w == 0 for t in terms)  # no atom held both ways
+    assert all(0 <= t < 2 ** (2 * w) for t in terms)
+    try:
+        kept = _absorb(terms, 16)
+    except CapExceededError:
+        return
+    expected = _reference_absorb(_reference_dnf(e, True))
+    assert [_literals(ids, t) for t in kept] == expected
 
 
 def _binary_or(points: int):
